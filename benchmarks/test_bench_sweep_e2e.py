@@ -1,30 +1,39 @@
-"""Benchmark: the end-to-end sweep speedup gate.
+"""Benchmark: the end-to-end sweep speedup gate, and what it is made of.
 
-``bench.sweep.e2e_speedup`` is the gauge the ISSUE-8 tentpole hangs on:
-the fig12 angle sweep routed through the §9.2 MUSIC array
+``bench.sweep.e2e_speedup`` times the fig12 angle sweep routed through
+the §9.2 MUSIC array
 (:func:`repro.experiments.fig12_localization.run_fig12_angle` with
-``array_elements=4``), run two ways —
+``array_elements=4``) in three legs —
 
-* **serial reference** — one process, the retained loop kernels;
-* **parallel batched** — 4 workers, batched AoA kernels, shared-memory
-  transport (the shipping default for all three knobs).
+* **serial oracle** — one process, the loop oracle swapped in for the
+  kernels (:func:`tests.kernel_oracle.reference_kernels`);
+* **serial batched** — one process, the shipping kernels;
+* **parallel batched** — 4 workers, the shipping kernels, shared-memory
+  transport (the shipping default for every knob).
 
-The ratio is gated at >= 3.0. Before timing, the two configurations
-must return the *same bits*: the AoA refinement recomputes the peak
-window with reference arithmetic, so refined angles are exactly
-mode-independent, and worker RNG streams are exactly the serial
-streams. The leak check asserts every shared-memory arena was unlinked.
+``e2e_speedup`` (serial oracle ÷ parallel batched) is gated at >= 3.0.
+Because that ratio moves two knobs at once, it is split into
+``kernel_speedup`` (serial oracle ÷ serial batched) and
+``worker_speedup`` (serial batched ÷ parallel batched), recorded with
+``bench.sweep.cores``, the core count that bounds the worker leg.
+Before timing, every leg must return the *same bits*: the AoA
+refinement recomputes the peak window with the loop arithmetic, so
+refined angles do not depend on the kernels, and worker RNG streams are
+exactly the serial streams. The leak check asserts every shared-memory
+arena was unlinked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
 import numpy as np
 
-from repro import kernels, obs, parallel
+from repro import obs, parallel
 from repro.experiments.fig12_localization import run_fig12_angle
+from tests.kernel_oracle import reference_kernels
 
 #: Sweep sizing: the full fig12 azimuth set at 40 trials per placement
 #: (280 trials), every trial a 4-element MUSIC localization. Large
@@ -32,7 +41,7 @@ from repro.experiments.fig12_localization import run_fig12_angle
 #: amortize — on a single-core box the 4 workers contribute pure
 #: overhead, so the gate is carried by the batched kernels and the
 #: overhead must stay a small fraction of the run. 4 elements (not 8)
-#: because the reference leg's cost is the Python-bound grid scan —
+#: because the oracle leg's cost is the Python-bound grid scan —
 #: roughly independent of the element count — while the batched leg
 #: pays the per-antenna burst synthesis: the smaller array keeps the
 #: AoA share dominant and the measured ratio well clear of the gate
@@ -55,50 +64,60 @@ def _shm_segments() -> set[str]:
 
 
 def _run_leg(
-    kernel_mode: str, workers: int, transport: str, n_trials: int = N_TRIALS
+    oracle: bool, workers: int, transport: str, n_trials: int = N_TRIALS
 ) -> tuple[np.ndarray, float]:
-    kernels.set_kernel_mode(kernel_mode)
     parallel.set_transport_mode(transport)
     try:
-        start_s = time.perf_counter()
-        errors = run_fig12_angle(
-            n_trials=n_trials,
-            max_workers=workers,
-            array_elements=ARRAY_ELEMENTS,
-        )
-        return errors, time.perf_counter() - start_s
+        with reference_kernels() if oracle else contextlib.nullcontext():
+            start_s = time.perf_counter()
+            errors = run_fig12_angle(
+                n_trials=n_trials,
+                max_workers=workers,
+                array_elements=ARRAY_ELEMENTS,
+            )
+            return errors, time.perf_counter() - start_s
     finally:
-        kernels.set_kernel_mode(None)
         parallel.set_transport_mode(None)
 
 
 def test_bench_sweep_e2e_speedup(benchmark):
     segments_before = _shm_segments()
 
-    def measure() -> tuple[float, float]:
+    def measure() -> tuple[float, float, float]:
         # Warm-up: prime the steering memo, the scene caches, and the
         # allocator, and pay the first pool's cold-fork cost outside
         # the timed rounds.
-        _run_leg("reference", 1, "pickle", n_trials=1)
-        _run_leg("batched", 4, "shm", n_trials=2)
-        serial_s = parallel_s = float("inf")
+        _run_leg(True, 1, "pickle", n_trials=1)
+        _run_leg(False, 1, "pickle", n_trials=1)
+        _run_leg(False, 4, "shm", n_trials=2)
+        oracle_s = serial_s = parallel_s = float("inf")
         for _ in range(ROUNDS):
-            serial_errors, leg_s = _run_leg("reference", 1, "pickle")
+            oracle_errors, leg_s = _run_leg(True, 1, "pickle")
+            oracle_s = min(oracle_s, leg_s)
+            serial_errors, leg_s = _run_leg(False, 1, "pickle")
             serial_s = min(serial_s, leg_s)
-            parallel_errors, leg_s = _run_leg("batched", 4, "shm")
+            parallel_errors, leg_s = _run_leg(False, 4, "shm")
             parallel_s = min(parallel_s, leg_s)
-            # The gate is only meaningful over identical outputs.
+            # The gauges are only meaningful over identical outputs.
+            assert np.array_equal(oracle_errors, parallel_errors)
             assert np.array_equal(serial_errors, parallel_errors)
-        return serial_s, parallel_s
+        return oracle_s, serial_s, parallel_s
 
-    serial_s, parallel_s = benchmark.pedantic(measure, rounds=1, iterations=1)
+    oracle_s, serial_s, parallel_s = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    speedup = serial_s / parallel_s
+    speedup = oracle_s / parallel_s
+    cores = os.cpu_count() or 1
     obs.gauge("bench.sweep.e2e_speedup").set(speedup)
-    obs.gauge("bench.sweep.e2e_serial_reference_s").set(serial_s)
+    obs.gauge("bench.sweep.kernel_speedup").set(oracle_s / serial_s)
+    obs.gauge("bench.sweep.worker_speedup").set(serial_s / parallel_s)
+    obs.gauge("bench.sweep.cores").set(cores)
+    obs.gauge("bench.sweep.e2e_serial_reference_s").set(oracle_s)
+    obs.gauge("bench.sweep.e2e_serial_batched_s").set(serial_s)
     obs.gauge("bench.sweep.e2e_parallel_batched_s").set(parallel_s)
     assert speedup >= 3.0
     assert _shm_segments() == segments_before
     print(f"\nfig12 angle sweep ({ARRAY_ELEMENTS}-element MUSIC, "
-          f"{N_TRIALS} trials x 7 azimuths): serial reference {serial_s:.2f} s, "
-          f"4 workers batched+shm {parallel_s:.2f} s, speedup {speedup:.2f}x")
+          f"{N_TRIALS} trials x 7 azimuths, {cores} cores): serial oracle "
+          f"{oracle_s:.2f} s, serial batched {serial_s:.2f} s, "
+          f"4 workers batched+shm {parallel_s:.2f} s; e2e {speedup:.2f}x = "
+          f"kernels {oracle_s / serial_s:.2f}x * workers {serial_s / parallel_s:.2f}x")

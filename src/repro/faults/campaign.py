@@ -256,7 +256,8 @@ def _campaign_task(
     ``functools.partial(_campaign_task, config)`` crosses a pickle
     boundary (the config and specs are frozen dataclasses of plain
     data), which lets campaigns ride an installed
-    :class:`~repro.parallel.PersistentPool` instead of forking cold.
+    :class:`~repro.parallel.PersistentPool` instead of forking a
+    one-shot pool.
     """
     return _run_trial(config, *task)
 

@@ -10,15 +10,13 @@ call along the last axis.
 Bitwise note: NumPy's pocketfft computes an ``axis=-1`` transform of a
 stacked array row by row with the same plan as the equivalent 1-D calls,
 and every other operation here is elementwise or a slice — so each
-batched function is exactly equal (``np.array_equal``) to its retained
-reference loop.
+function is exactly equal (``np.array_equal``) to the per-record loop
+it replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.kernels import use_batched
 
 __all__ = [
     "complex_bin_values",
@@ -42,19 +40,11 @@ def windowed_spectra(
     n = samples.shape[-1]
     nfft = nfft or n
     coherent_gain = window_taps.sum()
-    if use_batched("rxchain.windowed_spectra"):
-        windowed = samples * window_taps[None, :]
-        return (
-            np.fft.fftshift(np.fft.fft(windowed, n=nfft, axis=-1), axes=-1)
-            / coherent_gain
-        )
-    out = np.empty((samples.shape[0], nfft), dtype=np.complex128)
-    for i in range(samples.shape[0]):
-        out[i] = (
-            np.fft.fftshift(np.fft.fft(samples[i] * window_taps, n=nfft))
-            / coherent_gain
-        )
-    return out
+    windowed = samples * window_taps[None, :]
+    return (
+        np.fft.fftshift(np.fft.fft(windowed, n=nfft, axis=-1), axes=-1)
+        / coherent_gain
+    )
 
 
 def mean_abs_pair_diff(values: np.ndarray) -> np.ndarray:
@@ -64,10 +54,7 @@ def mean_abs_pair_diff(values: np.ndarray) -> np.ndarray:
     ``(n_bins,)`` mean of ``|values[k] - values[k+1]|`` — the paper's
     five-chirp background subtraction (four pairs).
     """
-    if use_batched("rxchain.mean_abs_pair_diff"):
-        return np.abs(values[:-1] - values[1:]).mean(axis=0)
-    diffs = [np.abs(a - b) for a, b in zip(values[:-1], values[1:])]
-    return np.mean(diffs, axis=0)
+    return np.abs(values[:-1] - values[1:]).mean(axis=0)
 
 
 def complex_bin_values(
@@ -84,13 +71,7 @@ def complex_bin_values(
     n = samples.shape[-1]
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
     idx = int(np.argmin(np.abs(freqs - frequency_hz)))
-    if use_batched("rxchain.complex_bin_values"):
-        return np.fft.fft(samples, axis=-1)[..., idx]
-    flat = samples.reshape(-1, n)
-    out = np.empty(flat.shape[0], dtype=np.complex128)
-    for i in range(flat.shape[0]):
-        out[i] = np.fft.fft(flat[i])[idx]
-    return out.reshape(samples.shape[:-1])
+    return np.fft.fft(samples, axis=-1)[..., idx]
 
 
 def masked_pair_profile(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -100,14 +81,7 @@ def masked_pair_profile(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
     transformed, restricted to the ``mask`` bins, and inverse-transformed
     — the AP-orientation amplitude-versus-sweep profile.
     """
-    if use_batched("rxchain.masked_pair_profile"):
-        diffs = samples[:-1] - samples[1:]
-        spectra = np.fft.fft(diffs, axis=-1)
-        spectra[:, ~mask] = 0.0
-        return np.abs(np.fft.ifft(spectra, axis=-1)).mean(axis=0)
-    profiles = []
-    for a, b in zip(samples[:-1], samples[1:]):
-        spectrum = np.fft.fft(a - b)
-        spectrum[~mask] = 0.0
-        profiles.append(np.abs(np.fft.ifft(spectrum)))
-    return np.mean(profiles, axis=0)
+    diffs = samples[:-1] - samples[1:]
+    spectra = np.fft.fft(diffs, axis=-1)
+    spectra[:, ~mask] = 0.0
+    return np.abs(np.fft.ifft(spectra, axis=-1)).mean(axis=0)

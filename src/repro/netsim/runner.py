@@ -195,7 +195,8 @@ def _scenario_task(seed: int, name: str) -> ScenarioResult:
 
     ``functools.partial(_scenario_task, seed)`` crosses the pickle
     boundary, letting the matrix ride an installed
-    :class:`~repro.parallel.PersistentPool` instead of forking cold.
+    :class:`~repro.parallel.PersistentPool` instead of forking a
+    one-shot pool.
     """
     return run_scenario(name, seed=seed)
 

@@ -17,6 +17,11 @@ output. Three contracts make that safe (see ``docs/PERFORMANCE.md``):
   the serial in-process path and records why
   (``parallel.fallbacks{reason=...}``).
 
+Every map runs on one pool implementation,
+:class:`~repro.parallel.pool.PersistentPool`: the warm pool a caller
+installs with ``with``, or a one-shot pool :func:`parallel_map` forks
+for a single call (see :mod:`repro.parallel.pool`).
+
 This is the only module tree allowed to import process-pool primitives
 (`concurrent.futures` / `multiprocessing`) — lint rule ML008 enforces
 the boundary so pool lifecycle management never leaks into physics code.
@@ -24,13 +29,14 @@ the boundary so pool lifecycle management never leaks into physics code.
 
 from __future__ import annotations
 
-from repro.parallel.executor import (
+from repro.parallel.pool import (
     DEFAULT_WORKERS_ENV,
     ParallelResult,
+    PersistentPool,
+    active_pool,
     parallel_map,
     resolve_max_workers,
 )
-from repro.parallel.pool import PersistentPool, active_pool
 from repro.parallel.shm import (
     TRANSPORT_ENV,
     TRANSPORT_MODES,

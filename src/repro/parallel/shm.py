@@ -1,6 +1,6 @@
 """Zero-copy shared-memory transport for process-pool payloads.
 
-The executor pickles chunk payloads on submit and chunk results on
+The pool pickles chunk payloads on submit and chunk results on
 return. For scalar trial parameters and RNG streams that is cheap, but
 ndarray payloads pay three copies per direction (serialize, pipe,
 deserialize). This module moves every sufficiently large ndarray found
@@ -33,11 +33,11 @@ Arena lifecycle (the "guaranteed unlink" contract)
   each chunk (a ``BufferError`` means a view still exists — kept for
   the next purge).
 
-Transport selection mirrors the kernel-mode machinery: programmatic
-override first (:func:`set_transport_mode`, the CLI's ``--transport``),
-then ``$REPRO_PARALLEL_TRANSPORT``, then the default ``shm``. The
+Transport selection: programmatic override first
+(:func:`set_transport_mode`, the CLI's ``--transport``), then
+``$REPRO_PARALLEL_TRANSPORT``, then the default ``shm``. The
 ``pickle`` mode short-circuits everything here and ships payloads
-exactly as the pre-shm executor did.
+exactly as the pool did before this transport existed.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Tests for the repro.faults subsystem.
 
 Covers the taxonomy and plan machinery, the bitwise no-op contract of
-every injection hook (absent plan *and* zero-intensity specs, under
-both kernel modes), actual corruption behaviour per site, the ARQ
+every injection hook (absent plan *and* zero-intensity specs, on the
+kernels and on their loop oracle), actual corruption behaviour per site, the ARQ
 backoff/timeout satellites, and campaign determinism serial vs a
 2-worker pool.
 """
@@ -10,7 +10,7 @@ backoff/timeout satellites, and campaign determinism serial vs a
 import numpy as np
 import pytest
 
-from repro import faults, kernels, obs
+from repro import faults, obs
 from repro.channel.scene import Scene2D
 from repro.dsp.signal import Signal
 from repro.errors import FaultInjectionError, ProtocolError
@@ -27,6 +27,7 @@ from repro.hardware.switch import SpdtSwitch, SwitchState
 from repro.protocol.arq import ACK_PAYLOAD, ReliableChannel, RetryBackoff, TransferResult
 from repro.protocol.link import MilBackLink
 from repro.sim.engine import MilBackSimulator
+from tests.kernel_oracle import reference_kernels
 
 ALL_KINDS = sorted(faults.FAULT_KINDS)
 
@@ -149,27 +150,33 @@ class TestPlan:
 # --- the bitwise no-op contract -------------------------------------------------
 
 
-@pytest.fixture(params=kernels.KERNEL_MODES)
-def kernel_mode(request):
-    kernels.set_kernel_mode(request.param)
-    yield request.param
-    kernels.set_kernel_mode(None)
+@pytest.fixture(params=["batched", "reference"])
+def on_kernels(request):
+    """Runner for ``fn()`` on the kernels, or on the loop oracle swapped in."""
+
+    def run(fn):
+        if request.param == "batched":
+            return fn()
+        with reference_kernels():
+            return fn()
+
+    return run
 
 
 class TestNoOpFastPath:
-    def test_absent_plan_is_bitwise_identical(self, kernel_mode):
+    def test_absent_plan_is_bitwise_identical(self, on_kernels):
         baseline = pipeline_outputs()
-        again = pipeline_outputs()
+        again = on_kernels(pipeline_outputs)
         assert_outputs_equal(baseline, again)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_zero_intensity_spec_is_bitwise_identical(self, kind, kernel_mode):
+    def test_zero_intensity_spec_is_bitwise_identical(self, kind, on_kernels):
         baseline = pipeline_outputs()
         plan = faults.FaultPlan(
             [faults.FaultSpec(kind, rate=1.0, intensity=0.0)], rng=123
         )
         with faults.activate(plan):
-            under_plan = pipeline_outputs()
+            under_plan = on_kernels(pipeline_outputs)
         assert_outputs_equal(baseline, under_plan)
         assert plan.injections == {}
 

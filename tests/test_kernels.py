@@ -1,97 +1,71 @@
-"""Tests for repro.kernels: batched/reference bitwise equality + dispatch.
+"""Tests for repro.kernels: bitwise equality with the loop oracle.
 
 The kernel layer's whole contract is *exact* float equality between the
-batched broadcasts and the retained loop references — every comparison
-here is ``np.array_equal``, never ``allclose``. Shapes deliberately
-include the degenerate ones (one RX antenna, two chirps, clipped symbol
-windows) where broadcasting bugs hide.
+batched broadcasts and the per-record loops they replaced, which live
+on in :mod:`tests.kernel_oracle` — every comparison here is
+``np.array_equal``, never ``allclose``. Shapes deliberately include the
+degenerate ones (one RX antenna, two chirps, clipped symbol windows)
+where broadcasting bugs hide. End-to-end cases run a whole pipeline
+twice, on the kernels and under :func:`kernel_oracle.reference_kernels`.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import kernels
 from repro.channel.scene import Scene2D
+from repro.cli import build_parser
 from repro.dsp.fftutils import Spectrum, find_peaks_above
 from repro.dsp.modulation import symbol_integrate
 from repro.dsp.signal import Signal
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import DecodingError
 from repro.kernels import burst as burst_kernel
 from repro.kernels import dsp as dsp_kernel
 from repro.kernels import rxchain
+from repro.parallel import parallel_map
 from repro.sim.engine import MilBackSimulator
-
-
-@pytest.fixture(autouse=True)
-def _clear_mode(monkeypatch):
-    """Each test starts from the default mode with no env override."""
-    monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-    kernels.set_kernel_mode(None)
-    yield
-    kernels.set_kernel_mode(None)
-
-
-def both_modes(fn):
-    """Run ``fn()`` under each kernel mode; return {mode: result}."""
-    out = {}
-    for mode in kernels.KERNEL_MODES:
-        kernels.set_kernel_mode(mode)
-        out[mode] = fn()
-    kernels.set_kernel_mode(None)
-    return out
-
-
-# --- mode plumbing ----------------------------------------------------------------
+from tests import kernel_oracle
+from tests.kernel_oracle import ORACLES, both_impls, reference_kernels
 
 
 class TestModeSelection:
     def test_default_is_batched(self):
         assert kernels.kernel_mode() == "batched"
 
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "reference")
-        assert kernels.kernel_mode() == "reference"
 
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "reference")
-        kernels.set_kernel_mode("batched")
-        assert kernels.kernel_mode() == "batched"
-        kernels.set_kernel_mode(None)
-        assert kernels.kernel_mode() == "reference"
+class TestOracleCompleteness:
+    def test_every_kernel_has_an_oracle_twin(self):
+        """A public kernel function added without a loop twin fails here."""
+        public = {
+            f"{name}.{attr}"
+            for name, module in kernel_oracle.KERNEL_MODULES.items()
+            for attr in module.__all__
+            if inspect.isfunction(getattr(module, attr))
+        }
+        assert public == set(ORACLES)
 
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            kernels.set_kernel_mode("vectorised")
-        monkeypatch.setenv(kernels.KERNELS_ENV, "turbo")
-        with pytest.raises(ConfigurationError):
-            kernels.kernel_mode()
+    def test_reference_kernels_swaps_and_restores(self):
+        original = rxchain.windowed_spectra
+        with reference_kernels():
+            assert rxchain.windowed_spectra is ORACLES["rxchain.windowed_spectra"]
+            assert burst_kernel.synthesize_burst is ORACLES["burst.synthesize_burst"]
+        assert rxchain.windowed_spectra is original
 
-    def test_dispatch_counts_per_kernel(self):
-        before = obs.counter(
-            "kernels.dispatch.batched", kernel="dsp.local_maxima_candidates"
-        ).value
-        dsp_kernel.local_maxima_candidates(np.array([0.0, 1.0, 0.0]), 0.5)
-        after = obs.counter(
-            "kernels.dispatch.batched", kernel="dsp.local_maxima_candidates"
-        ).value
-        assert after == before + 1
+    def test_reference_kernels_reach_forked_workers(self):
+        with reference_kernels():
+            result = parallel_map(_resolves_to_oracle, list(range(4)), max_workers=2)
+        assert result.parallel
+        assert result.values == [True] * 4
 
-    def test_reference_dispatch_counted(self):
-        kernels.set_kernel_mode("reference")
-        before = obs.counter(
-            "kernels.dispatch.reference", kernel="dsp.local_maxima_candidates"
-        ).value
-        dsp_kernel.local_maxima_candidates(np.array([0.0, 1.0, 0.0]), 0.5)
-        after = obs.counter(
-            "kernels.dispatch.reference", kernel="dsp.local_maxima_candidates"
-        ).value
-        assert after == before + 1
+    def test_cli_has_no_kernel_switch(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig10", "--kernels", "reference"])
 
-    def test_cli_flag_sets_override(self):
-        from repro.cli import build_parser
 
-        args = build_parser().parse_args(["run", "fig10", "--kernels", "reference"])
-        assert args.kernels == "reference"
+def _resolves_to_oracle(_):
+    return rxchain.windowed_spectra is ORACLES["rxchain.windowed_spectra"]
 
 
 # --- burst synthesis --------------------------------------------------------------
@@ -131,14 +105,15 @@ class TestBurstSynthesis:
     )
     def test_batched_equals_reference(self, n_chirps, n_rx, n):
         params, variates = _burst_fixture(n_chirps, n_rx, n)
-        ref = burst_kernel.synthesize_burst_reference(params, variates)
-        batched = burst_kernel.synthesize_burst_batched(params, variates)
+        ref = kernel_oracle.synthesize_burst_reference(params, variates)
+        batched = burst_kernel.synthesize_burst(params, variates)
         assert batched.shape == (n_chirps, n_rx, n)
         assert np.array_equal(batched, ref)
 
     def test_dispatch_follows_mode(self):
+        # Callers resolve the module attribute, so the swap reaches them.
         params, variates = _burst_fixture(2, 1, 16)
-        results = both_modes(lambda: burst_kernel.synthesize_burst(params, variates))
+        results = both_impls(lambda: burst_kernel.synthesize_burst(params, variates))
         assert np.array_equal(results["batched"], results["reference"])
 
     def test_engine_burst_identical_across_modes(self):
@@ -149,7 +124,7 @@ class TestBurstSynthesis:
             recs = sim._beat_records(toggled_port="both", n_chirps=5, n_rx_antennas=2)
             return [[r.samples for r in ant] for ant in recs]
 
-        results = both_modes(run)
+        results = both_impls(run)
         for ant_b, ant_r in zip(results["batched"], results["reference"]):
             for rec_b, rec_r in zip(ant_b, ant_r):
                 assert np.array_equal(rec_b, rec_r)
@@ -160,28 +135,23 @@ class TestBurstSynthesis:
             recs = sim._beat_records(toggled_port="A", n_chirps=2, n_rx_antennas=1)
             return [r.samples for r in recs[0]]
 
-        results = both_modes(run)
+        results = both_impls(run)
         for rec_b, rec_r in zip(results["batched"], results["reference"]):
             assert np.array_equal(rec_b, rec_r)
 
     def test_variates_draw_order_matches_legacy(self):
         # Same generator state must yield the same stream the legacy loop
         # consumed: per chirp jitter, residual, then per-antenna noise.
-        n_chirps, n_rx, n = 3, 2, 8
-        v = burst_kernel.draw_variates(
-            np.random.default_rng(5),
-            n_chirps,
-            n_rx,
-            n,
-            trigger_jitter_s=1e-9,
-            residual_fn=lambda: np.zeros(n, dtype=np.complex128),
-        )
-        rng = np.random.default_rng(5)
-        for k in range(n_chirps):
-            assert v.tau_j_s[k] == rng.normal(0.0, 1e-9)
-            for m in range(n_rx):
-                expect = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                assert np.array_equal(v.noise_white[k, m], expect)
+        def draw(fn, n_chirps=3, n_rx=2, n=8):
+            rng = np.random.default_rng(5)
+            # A residual that draws pins its place in the per-chirp order.
+            return fn(rng, n_chirps, n_rx, n, 1e-9, lambda: rng.standard_normal(n) + 0j)
+
+        v = draw(burst_kernel.draw_variates)
+        expect = draw(kernel_oracle.draw_variates_reference)
+        assert np.array_equal(v.tau_j_s, expect.tau_j_s)
+        assert np.array_equal(v.residuals, expect.residuals)
+        assert np.array_equal(v.noise_white, expect.noise_white)
 
 
 # --- receive chain ----------------------------------------------------------------
@@ -195,32 +165,38 @@ class TestRxChain:
             (n_records, n)
         )
         taps = np.hanning(n)
-        results = both_modes(lambda: rxchain.windowed_spectra(samples, taps))
-        assert np.array_equal(results["batched"], results["reference"])
+        assert np.array_equal(
+            rxchain.windowed_spectra(samples, taps),
+            kernel_oracle.windowed_spectra_reference(samples, taps),
+        )
 
     def test_mean_abs_pair_diff_modes_equal(self):
         rng = np.random.default_rng(12)
         values = rng.standard_normal((5, 128)) + 1j * rng.standard_normal((5, 128))
-        results = both_modes(lambda: rxchain.mean_abs_pair_diff(values))
-        assert np.array_equal(results["batched"], results["reference"])
+        assert np.array_equal(
+            rxchain.mean_abs_pair_diff(values),
+            kernel_oracle.mean_abs_pair_diff_reference(values),
+        )
 
     @pytest.mark.parametrize("shape", [(5, 64), (3, 4, 64)])
     def test_complex_bin_values_modes_equal(self, shape):
         rng = np.random.default_rng(13)
         samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        results = both_modes(
-            lambda: rxchain.complex_bin_values(samples, 40e6, 3.1e6)
+        batched = rxchain.complex_bin_values(samples, 40e6, 3.1e6)
+        assert batched.shape == shape[:-1]
+        assert np.array_equal(
+            batched, kernel_oracle.complex_bin_values_reference(samples, 40e6, 3.1e6)
         )
-        assert results["batched"].shape == shape[:-1]
-        assert np.array_equal(results["batched"], results["reference"])
 
     def test_masked_pair_profile_modes_equal(self):
         rng = np.random.default_rng(14)
         samples = rng.standard_normal((5, 96)) + 1j * rng.standard_normal((5, 96))
         mask = np.zeros(96, dtype=bool)
         mask[10:30] = True
-        results = both_modes(lambda: rxchain.masked_pair_profile(samples, mask))
-        assert np.array_equal(results["batched"], results["reference"])
+        assert np.array_equal(
+            rxchain.masked_pair_profile(samples, mask),
+            kernel_oracle.masked_pair_profile_reference(samples, mask),
+        )
 
     def test_background_subtraction_end_to_end(self):
         def run():
@@ -229,7 +205,7 @@ class TestRxChain:
             sub = sim.ap.fmcw.background_subtracted(recs[0])
             return sub.values
 
-        results = both_modes(run)
+        results = both_impls(run)
         assert np.array_equal(results["batched"], results["reference"])
 
 
@@ -242,15 +218,16 @@ class TestDspKernels:
         rng = np.random.default_rng(21)
         mag = np.abs(rng.standard_normal(n)) + 0.05
         floor = 0.4 * mag.max()
-        results = both_modes(lambda: dsp_kernel.local_maxima_candidates(mag, floor))
-        assert results["batched"] == results["reference"]
+        assert dsp_kernel.local_maxima_candidates(
+            mag, floor
+        ) == kernel_oracle.local_maxima_candidates_reference(mag, floor)
 
     def test_local_maxima_plateau_keeps_rightmost(self):
         # >= toward the left neighbour, > toward the right: a flat-top
-        # peak fires on its right edge only, in both modes.
+        # peak fires on its right edge only, in the kernel and the oracle.
         mag = np.array([0.0, 1.0, 1.0, 0.0, 2.0, 0.0])
-        results = both_modes(lambda: dsp_kernel.local_maxima_candidates(mag, 0.5))
-        assert results["batched"] == results["reference"] == [2, 4]
+        assert dsp_kernel.local_maxima_candidates(mag, 0.5) == [2, 4]
+        assert kernel_oracle.local_maxima_candidates_reference(mag, 0.5) == [2, 4]
 
     def test_find_peaks_modes_equal(self):
         rng = np.random.default_rng(22)
@@ -258,7 +235,7 @@ class TestDspKernels:
         mag[100] = 9.0
         mag[300] = 7.5
         spec = Spectrum(np.linspace(0.0, 1e6, 512), mag.astype(np.complex128))
-        results = both_modes(
+        results = both_impls(
             lambda: [
                 (p.frequency_hz, p.magnitude, p.bin_index)
                 for p in find_peaks_above(spec, 0.3, 3)
@@ -281,10 +258,15 @@ class TestDspKernels:
         if complex_input:
             x = x + 1j * rng.standard_normal(n)
         sig = Signal(x, fs_hz, 0.0, 0.0)
-        results = both_modes(
+        results = both_impls(
             lambda: symbol_integrate(sig, 1e-5, n_symbols, t_first_symbol_s=t0_s)
         )
         assert np.array_equal(results["batched"], results["reference"])
+        bounds = (n, fs_hz, 0.0, t0_s, 1e-5, 2e-6, n_symbols)
+        for got, want in zip(
+            dsp_kernel.slot_bounds(*bounds), kernel_oracle.slot_bounds_reference(*bounds)
+        ):
+            assert np.array_equal(got, want)
 
     def test_integrate_slots_uneven_lengths(self):
         # Lengths {3, 4} force the grouped-gather path to split groups.
@@ -292,12 +274,16 @@ class TestDspKernels:
         samples = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         i0 = np.array([0, 5, 11, 20, 30])
         i1 = np.array([3, 9, 14, 24, 33])
-        results = both_modes(lambda: dsp_kernel.integrate_slots(samples, i0, i1))
-        assert np.array_equal(results["batched"], results["reference"])
+        assert np.array_equal(
+            dsp_kernel.integrate_slots(samples, i0, i1),
+            kernel_oracle.integrate_slots_reference(samples, i0, i1),
+        )
 
     def test_slot_bounds_raises_like_reference(self):
+        args = (8, 1e6, 0.0, 0.0, 1e-5, 2e-6, 3)
+        for slot_bounds in (dsp_kernel.slot_bounds, kernel_oracle.slot_bounds_reference):
+            with pytest.raises(DecodingError, match=r"symbol 1 falls outside .*\[12, 8\)"):
+                slot_bounds(*args)
         sig = Signal(np.zeros(8), 1e6, 0.0, 0.0)
-        for mode in kernels.KERNEL_MODES:
-            kernels.set_kernel_mode(mode)
-            with pytest.raises(DecodingError, match="symbol 1 falls outside"):
-                symbol_integrate(sig, 1e-5, 3, t_first_symbol_s=0.0)
+        with pytest.raises(DecodingError, match="symbol 1 falls outside"), reference_kernels():
+            symbol_integrate(sig, 1e-5, 3, t_first_symbol_s=0.0)

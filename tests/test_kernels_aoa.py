@@ -1,28 +1,30 @@
 """Tests for repro.kernels.aoa: steering cache + batched spectrum contract.
 
-The AoA family is the one kernel family whose batched/reference modes
-are *not* bitwise equal — BLAS reorders the grid-scan reductions — so
-these tests pin the documented contract instead (see
-``docs/PERFORMANCE.md``): steering phasors bitwise mode-independent,
-spectra within a small ulp bound, the MUSIC clamp saturating
+The AoA family is the one kernel family that is *not* bitwise equal to
+its per-angle loop oracle (``aoa.bartlett_window_reference`` /
+``aoa.music_window_reference`` over the full grid) — BLAS reorders the
+grid-scan reductions — so these tests pin the documented contract
+instead (see ``docs/PERFORMANCE.md``): steering phasors shared bit for
+bit, spectra within a small ulp bound, the MUSIC clamp saturating
 identically, and the spectrum peak plus the refined ``estimate()``
-angle exactly equal across modes.
+angle exactly equal between the kernels and the oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.ap.music import ArrayAoaEstimator
 from repro.channel.scene import Scene2D
 from repro.constants import SPEED_OF_LIGHT
 from repro.kernels import aoa
 from repro.sim.engine import MilBackSimulator
+from tests.kernel_oracle import both_impls, reference_kernels
 
 WAVELENGTH_M = SPEED_OF_LIGHT / 28e9
 BASELINE_M = WAVELENGTH_M / 2
 
-#: Maximum ulp distance tolerated between batched and reference values
+#: Maximum ulp distance tolerated between batched and oracle values
 #: at well-conditioned spectrum elements (the Bartlett peak, MUSIC away
 #: from its peaks). Measured worst case is ~6 ulp; 16 leaves headroom
 #: without hiding a real regression.
@@ -40,26 +42,13 @@ EPS = float(np.finfo(float).eps)
 
 
 @pytest.fixture(autouse=True)
-def _clean_slate(monkeypatch):
-    """Default kernel mode, empty steering memo, fresh obs window."""
-    monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-    kernels.set_kernel_mode(None)
+def _clean_slate():
+    """Empty steering memo, fresh obs window."""
     aoa.clear_steering_cache()
     obs.reset()
     yield
-    kernels.set_kernel_mode(None)
     aoa.clear_steering_cache()
     obs.reset()
-
-
-def both_modes(fn):
-    """Run ``fn()`` under each kernel mode; return {mode: result}."""
-    out = {}
-    for mode in kernels.KERNEL_MODES:
-        kernels.set_kernel_mode(mode)
-        out[mode] = fn()
-    kernels.set_kernel_mode(None)
-    return out
 
 
 def ulp_distance(a, b):
@@ -110,7 +99,7 @@ class TestSteeringMatrix:
             aoa.clear_steering_cache()
             return aoa.steering_matrix(g, 8, BASELINE_M, WAVELENGTH_M)
 
-        results = both_modes(build)
+        results = both_impls(build)
         assert np.array_equal(results["batched"], results["reference"])
 
     def test_result_is_read_only(self):
@@ -160,8 +149,8 @@ class TestSpectrumEquality:
     def test_bartlett_within_tolerance_contract(self, n_antennas, n_grid):
         covariance = source_covariance(n_antennas, seed=n_antennas)
         steering = aoa.steering_matrix(grid(n_grid), n_antennas, BASELINE_M, WAVELENGTH_M)
-        results = both_modes(lambda: aoa.bartlett_spectrum(covariance, steering))
-        batched, reference = results["batched"], results["reference"]
+        batched = aoa.bartlett_spectrum(covariance, steering)
+        reference = aoa.bartlett_window_reference(covariance, steering)
         # Every element: absolute error bounded by the quadratic form's
         # no-cancellation magnitude (||a||^2 * lambda_max, then the /n^2
         # normalization). Covers the deep cancellation away from the
@@ -180,8 +169,8 @@ class TestSpectrumEquality:
         covariance = source_covariance(n_antennas, seed=10 + n_antennas)
         noise = aoa.noise_subspace(covariance, n_sources=1)
         steering = aoa.steering_matrix(grid(n_grid), n_antennas, BASELINE_M, WAVELENGTH_M)
-        results = both_modes(lambda: aoa.music_spectrum(noise, steering))
-        batched, reference = results["batched"], results["reference"]
+        batched = aoa.music_spectrum(noise, steering)
+        reference = aoa.music_window_reference(noise, steering)
         # Off-peak elements (projection well away from the noise-null
         # cancellation): tight ulp bound.
         off_peak = reference <= 10.0 * np.median(reference)
@@ -199,30 +188,11 @@ class TestSpectrumEquality:
         covariance = source_covariance(4, seed=3)
         noise = aoa.noise_subspace(covariance)
         steering = aoa.steering_matrix(grid(501), 4, BASELINE_M, WAVELENGTH_M)
-        kernels.set_kernel_mode("reference")
-        assert np.array_equal(
-            aoa.bartlett_spectrum(covariance, steering),
-            aoa.bartlett_window_reference(covariance, steering),
-        )
-        assert np.array_equal(
-            aoa.music_spectrum(noise, steering),
-            aoa.music_window_reference(noise, steering),
-        )
-
-    def test_dispatch_counted_per_mode(self):
-        covariance = source_covariance(2, seed=5)
-        steering = aoa.steering_matrix(grid(101), 2, BASELINE_M, WAVELENGTH_M)
-        both_modes(lambda: aoa.bartlett_spectrum(covariance, steering))
-        assert (
-            obs.counter("kernels.dispatch.batched", kernel="aoa.bartlett_spectrum").value
-            == 1
-        )
-        assert (
-            obs.counter(
-                "kernels.dispatch.reference", kernel="aoa.bartlett_spectrum"
-            ).value
-            == 1
-        )
+        with reference_kernels():
+            bartlett = aoa.bartlett_spectrum(covariance, steering)
+            music = aoa.music_spectrum(noise, steering)
+        assert np.array_equal(bartlett, aoa.bartlett_window_reference(covariance, steering))
+        assert np.array_equal(music, aoa.music_window_reference(noise, steering))
 
 
 class TestMusicClamp:
@@ -233,17 +203,21 @@ class TestMusicClamp:
         The noise subspace of the rank-1 covariance is orthogonal to the
         source steering vector up to rounding, so the on-grid source
         angle drives the MUSIC denominator far below the 1e-18 floor —
-        both modes must saturate at exactly 1/1e-18, at the same angles.
+        the kernel and the oracle must saturate at exactly 1/1e-18, at
+        the same angles.
         """
         g = grid(2401)
         source_deg = float(g[1450])  # exactly on-grid
         covariance = singular_covariance(n_antennas, source_deg)
         noise = aoa.noise_subspace(covariance, n_sources=1)
         steering = aoa.steering_matrix(g, n_antennas, BASELINE_M, WAVELENGTH_M)
-        results = both_modes(lambda: aoa.music_spectrum(noise, steering))
+        results = {
+            "batched": aoa.music_spectrum(noise, steering),
+            "reference": aoa.music_window_reference(noise, steering),
+        }
         saturated = {
-            mode: spectrum == 1.0 / aoa.MUSIC_DENOM_FLOOR
-            for mode, spectrum in results.items()
+            impl: spectrum == 1.0 / aoa.MUSIC_DENOM_FLOOR
+            for impl, spectrum in results.items()
         }
         assert saturated["reference"][1450]
         assert np.array_equal(saturated["batched"], saturated["reference"])
@@ -260,11 +234,11 @@ class TestMusicClamp:
             assert np.all(np.isfinite(spectrum))
             return int(np.argmax(spectrum))
 
-        results = both_modes(run)
+        results = both_impls(run)
         assert results["batched"] == results["reference"] == 160
 
 
-# --- cross-mode estimate() exactness ----------------------------------------------
+# --- estimate() exactness against the oracle ----------------------------------------------
 
 
 class TestEstimateExactness:
@@ -281,10 +255,10 @@ class TestEstimateExactness:
             estimate = estimator.estimate(records, beat_hz, method=method)
             return estimate.angle_deg, int(np.argmax(estimate.spectrum))
 
-        results = both_modes(run)
+        results = both_impls(run)
         assert results["batched"][1] == results["reference"][1]
         # Bitwise float equality, not approx: the refinement window is
-        # recomputed with reference arithmetic in both modes.
+        # recomputed with the per-angle loop arithmetic either way.
         assert results["batched"][0] == results["reference"][0]
 
     @pytest.mark.parametrize("method", ["music", "bartlett"])
@@ -296,5 +270,5 @@ class TestEstimateExactness:
             )
             return sim.simulate_localization_array(6, method).angle_error_deg
 
-        results = both_modes(run)
+        results = both_impls(run)
         assert results["batched"] == results["reference"]

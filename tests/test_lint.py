@@ -490,7 +490,7 @@ class TestML008ConcurrencyImports:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         """
-        path = "src/repro/parallel/executor.py"
+        path = "src/repro/parallel/pool.py"
         assert findings_for(source, path=path, select=["ML008"]) == []
 
     def test_silent_on_unrelated_imports(self):
@@ -510,9 +510,9 @@ class TestML008ConcurrencyImports:
         assert findings_for(source, select=["ML008"]) == []
 
     def test_executor_module_itself_is_exempt_on_disk(self):
-        # The real executor imports both restricted modules; the path
+        # The real pool module imports both restricted modules; the path
         # carve-out (not a pragma) is what keeps the tree lint-clean.
-        path = SRC_ROOT / "repro" / "parallel" / "executor.py"
+        path = SRC_ROOT / "repro" / "parallel" / "pool.py"
         source = path.read_text(encoding="utf-8")
         assert lint_source(source, str(path), select=["ML008"]) == []
 

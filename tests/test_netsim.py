@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.channel.mobility import Waypoint, WaypointTrajectory
 from repro.channel.scene import NodePlacement, Scene2D
 from repro.errors import NetworkSimError, ProtocolError
@@ -31,6 +31,7 @@ from repro.protocol.arq import ReliableChannel
 from repro.protocol.inventory import SlottedInventory
 from repro.utils.geometry import Pose2D
 from repro.utils.rng import indexed_rngs
+from tests.kernel_oracle import both_impls
 
 
 class TestEventQueue:
@@ -370,15 +371,8 @@ class TestScenarioDeterminism:
         )
 
     def test_identical_under_both_kernel_modes(self):
-        results = {}
-        try:
-            for mode in kernels.KERNEL_MODES:
-                kernels.set_kernel_mode(mode)
-                results[mode] = run_scenario("five-node-crosscheck", seed=0)
-        finally:
-            kernels.set_kernel_mode(None)
-        batched, reference = results["batched"], results["reference"]
-        assert batched == reference
+        results = both_impls(lambda: run_scenario("five-node-crosscheck", seed=0))
+        assert results["batched"] == results["reference"]
 
     def test_different_seeds_differ(self):
         a = run_scenario("single-ap-100", seed=0)

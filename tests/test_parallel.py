@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.parallel` — the process-pool sweep executor.
 
-The executor makes three promises (see ``docs/PERFORMANCE.md``):
+The pool makes three promises (see ``docs/PERFORMANCE.md``):
 
 1. **Bitwise determinism** — a parallel sweep returns exactly the
    floats a serial sweep returns, because every task carries the same
@@ -14,13 +14,15 @@ The executor makes three promises (see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import obs
 from repro.analysis.sweeps import SweepPoint, run_error_sweep, run_sweep
 from repro.channel.scene import Scene2D
 from repro.errors import ConfigurationError
@@ -37,10 +39,12 @@ from repro.parallel import (
     set_transport_mode,
     transport_mode,
 )
+from repro.parallel import pool as pool_module
 from repro.parallel import shm
-from repro.parallel.executor import _chunk_indices
+from repro.parallel.pool import _chunk_indices
 from repro.sim.engine import MilBackSimulator
 from repro.utils.rng import spawn_rngs
+from tests.kernel_oracle import reference_kernels
 
 
 @pytest.fixture(autouse=True)
@@ -256,10 +260,8 @@ class TestShmTransport:
     def _clean_transport(self, monkeypatch):
         monkeypatch.delenv(shm.TRANSPORT_ENV, raising=False)
         set_transport_mode(None)
-        kernels.set_kernel_mode(None)
         yield
         set_transport_mode(None)
-        kernels.set_kernel_mode(None)
 
     def test_default_is_shm(self):
         assert transport_mode() == "shm"
@@ -314,15 +316,19 @@ class TestShmTransport:
 
     @pytest.mark.parametrize("mode", ["batched", "reference"])
     def test_bitwise_across_worker_counts_and_transports(self, mode):
-        kernels.set_kernel_mode(mode)
+        # The serial baseline always runs on the kernels; the reference
+        # legs fork their workers inside the oracle swap, so the pooled
+        # runs compare the loop oracle against production bit for bit.
         serial = [_array_trial(item) for item in _array_items(8)]
         results = {}
         for transport in ("shm", "pickle"):
             set_transport_mode(transport)
             for workers in (2, 4):
-                out = parallel_map(
-                    _array_trial, _array_items(8), max_workers=workers
-                ).values
+                swap = reference_kernels() if mode == "reference" else nullcontext()
+                with swap:
+                    out = parallel_map(
+                        _array_trial, _array_items(8), max_workers=workers
+                    ).values
                 results[(transport, workers)] = out
         for key, out in results.items():
             for got, want in zip(out, serial):
@@ -362,10 +368,8 @@ class TestShmTransport:
         assert _shm_segments() == before
 
     def test_no_segment_leak_on_fallback(self, monkeypatch):
-        from repro.parallel import executor
-
         monkeypatch.setattr(
-            executor.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+            pool_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         before = _shm_segments()
         serial = [_array_trial(item) for item in _array_items(4)]
@@ -484,18 +488,74 @@ class TestPersistentPool:
         assert active_pool() is None
 
     def test_closures_keep_the_cold_fork_path(self):
-        with PersistentPool(max_workers=2):
-            result = parallel_map(lambda x: x + 1, list(range(8)), max_workers=2)
-            assert result.values == [i + 1 for i in range(8)]
-            snapshot = obs.get_registry().snapshot()
-            # The warm pool never saw the closure: no pool chunks ran.
-            assert "parallel.pool.chunks" not in snapshot
+        serial = [_toy_pool_task(t) for t in self._toy_tasks(10)]
+        obs.reset()
+        with PersistentPool(max_workers=2) as warm:
+            result = parallel_map(
+                lambda t: _toy_trial(t[0], t[1]), self._toy_tasks(10), max_workers=2
+            )
+            # A one-shot pool ran the closure in parallel; the installed
+            # warm pool never saw it and never forked.
+            assert result.parallel and result.workers > 1
+            assert result.values == serial
+            assert warm.worker_pids() == []
+            assert obs.counter("parallel.pool.spawns").value == 1
+
+    def test_one_shot_pool_is_reaped_on_return(self, monkeypatch):
+        live = []
+        register, unregister = atexit.register, atexit.unregister
+
+        def tracked_register(fn):
+            live.append(fn)
+            return register(fn)
+
+        def tracked_unregister(fn):
+            live[:] = [f for f in live if f != fn]
+            unregister(fn)
+
+        monkeypatch.setattr(atexit, "register", tracked_register)
+        monkeypatch.setattr(atexit, "unregister", tracked_unregister)
+        result = parallel_map(lambda _: os.getpid(), list(range(8)), max_workers=2)
+        assert result.parallel
+        # No atexit hook of the one-shot pool outlives the call ...
+        assert live == []
+        # ... and its workers are already joined, not left as zombies.
+        for pid in set(result.values):
+            with pytest.raises(OSError):  # reaped: no such process
+                os.kill(pid, 0)
+
+    def test_broken_one_shot_pool_reruns_only_the_remainder(self):
+        parent = os.getpid()
+        serial = [_toy_pool_task(t) for t in self._toy_tasks(8)]
+        obs.reset()
+
+        def trial(task):
+            if task[0] == 5.0 and os.getpid() != parent:
+                os._exit(1)  # a worker dies mid-map
+            return _toy_trial(task[0], task[1])
+
+        result = parallel_map(trial, self._toy_tasks(8), max_workers=2, chunk_size=1)
+        assert result.values == serial  # bit-identical in-process rerun
+        assert result.fallback_reason == "BrokenProcessPool"
+        # Chunks merged before the break are not rerun: each trial counts once.
+        assert obs.counter("toy.trials").value == 8
+        assert obs.counter("parallel.fallbacks", reason="BrokenProcessPool").value == 1
+
+    def test_nested_parallel_map_keeps_the_inherited_trial(self):
+        def trial(x):
+            # Serial inside a worker; it must leave the closure that later
+            # chunks on this worker inherit in place.
+            return sum(parallel_map(lambda y: y * x, [1, 2, 3], max_workers=2).values)
+
+        result = parallel_map(trial, list(range(8)), max_workers=2, chunk_size=1)
+        assert result.parallel
+        assert result.values == [6 * x for x in range(8)]
 
     def test_shutdown_clears_routing(self):
         with PersistentPool(max_workers=2) as pool:
             pool.shutdown()
             assert active_pool() is None
-            # parallel_map still works via its cold path.
+            # parallel_map still works, on a one-shot pool.
             assert parallel_map(_pid_task, [1, 2], max_workers=2).values
 
     def test_broken_pool_degrades_serially_then_heals(self):
