@@ -18,13 +18,29 @@ entries keep a bounded per-benchmark ``history`` (see
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
 import pytest
 
-from repro import obs
-from repro.obs.benchdoc import load_bench_document, merge_bench_document
+# One BLAS/OpenMP thread, as perfbench pins it, set before anything
+# imports NumPy (OpenBLAS reads these once, at load). Unpinned, OpenBLAS
+# runs two threads on a 2-core box; when another process holds a core
+# they stall and the batched MUSIC scan slows from ~0.2 ms to ~7 ms,
+# enough to fail the bench.kernel.music_speedup >= 5 gate.
+os.environ.update(
+    {
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "BLIS_NUM_THREADS": "1",
+        "NUMEXPR_NUM_THREADS": "1",
+    }
+)
+
+from repro import obs  # noqa: E402
+from repro.obs.benchdoc import load_bench_document, merge_bench_document  # noqa: E402
 
 #: Collected per-test entries for BENCH_obs.json, keyed by pytest nodeid.
 _RESULTS: dict[str, dict[str, object]] = {}

@@ -8,8 +8,7 @@ the §9.2 MUSIC array
 * **serial oracle** — one process, the loop oracle swapped in for the
   kernels (:func:`tests.kernel_oracle.reference_kernels`);
 * **serial batched** — one process, the shipping kernels;
-* **parallel batched** — 4 workers, the shipping kernels, shared-memory
-  transport (the shipping default for every knob).
+* **parallel batched** — 4 workers, the shipping kernels.
 
 ``e2e_speedup`` (serial oracle ÷ parallel batched) is gated at >= 3.0.
 Because that ratio moves two knobs at once, it is split into
@@ -19,8 +18,8 @@ Because that ratio moves two knobs at once, it is split into
 Before timing, every leg must return the *same bits*: the AoA
 refinement recomputes the peak window with the loop arithmetic, so
 refined angles do not depend on the kernels, and worker RNG streams are
-exactly the serial streams. The leak check asserts every shared-memory
-arena was unlinked.
+exactly the serial streams. The leak check asserts no run left a
+``/dev/shm`` segment behind.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro import obs, parallel
+from repro import obs
 from repro.experiments.fig12_localization import run_fig12_angle
 from tests.kernel_oracle import reference_kernels
 
@@ -64,20 +63,16 @@ def _shm_segments() -> set[str]:
 
 
 def _run_leg(
-    oracle: bool, workers: int, transport: str, n_trials: int = N_TRIALS
+    oracle: bool, workers: int, n_trials: int = N_TRIALS
 ) -> tuple[np.ndarray, float]:
-    parallel.set_transport_mode(transport)
-    try:
-        with reference_kernels() if oracle else contextlib.nullcontext():
-            start_s = time.perf_counter()
-            errors = run_fig12_angle(
-                n_trials=n_trials,
-                max_workers=workers,
-                array_elements=ARRAY_ELEMENTS,
-            )
-            return errors, time.perf_counter() - start_s
-    finally:
-        parallel.set_transport_mode(None)
+    with reference_kernels() if oracle else contextlib.nullcontext():
+        start_s = time.perf_counter()
+        errors = run_fig12_angle(
+            n_trials=n_trials,
+            max_workers=workers,
+            array_elements=ARRAY_ELEMENTS,
+        )
+        return errors, time.perf_counter() - start_s
 
 
 def test_bench_sweep_e2e_speedup(benchmark):
@@ -87,16 +82,16 @@ def test_bench_sweep_e2e_speedup(benchmark):
         # Warm-up: prime the steering memo, the scene caches, and the
         # allocator, and pay the first pool's cold-fork cost outside
         # the timed rounds.
-        _run_leg(True, 1, "pickle", n_trials=1)
-        _run_leg(False, 1, "pickle", n_trials=1)
-        _run_leg(False, 4, "shm", n_trials=2)
+        _run_leg(True, 1, n_trials=1)
+        _run_leg(False, 1, n_trials=1)
+        _run_leg(False, 4, n_trials=2)
         oracle_s = serial_s = parallel_s = float("inf")
         for _ in range(ROUNDS):
-            oracle_errors, leg_s = _run_leg(True, 1, "pickle")
+            oracle_errors, leg_s = _run_leg(True, 1)
             oracle_s = min(oracle_s, leg_s)
-            serial_errors, leg_s = _run_leg(False, 1, "pickle")
+            serial_errors, leg_s = _run_leg(False, 1)
             serial_s = min(serial_s, leg_s)
-            parallel_errors, leg_s = _run_leg(False, 4, "shm")
+            parallel_errors, leg_s = _run_leg(False, 4)
             parallel_s = min(parallel_s, leg_s)
             # The gauges are only meaningful over identical outputs.
             assert np.array_equal(oracle_errors, parallel_errors)
@@ -119,5 +114,5 @@ def test_bench_sweep_e2e_speedup(benchmark):
     print(f"\nfig12 angle sweep ({ARRAY_ELEMENTS}-element MUSIC, "
           f"{N_TRIALS} trials x 7 azimuths, {cores} cores): serial oracle "
           f"{oracle_s:.2f} s, serial batched {serial_s:.2f} s, "
-          f"4 workers batched+shm {parallel_s:.2f} s; e2e {speedup:.2f}x = "
+          f"4 workers batched {parallel_s:.2f} s; e2e {speedup:.2f}x = "
           f"kernels {oracle_s / serial_s:.2f}x * workers {serial_s / parallel_s:.2f}x")

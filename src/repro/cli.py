@@ -44,7 +44,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro import datasets, faults, netsim, obs, parallel
+from repro import datasets, faults, netsim, obs
 from repro.errors import DatasetError, FaultInjectionError, NetworkSimError
 from repro.faults import campaign as faults_campaign
 from repro.obs import regress as obs_regress
@@ -138,22 +138,13 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., str]]] = {
 
 
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
-    """Worker/transport/observability flags shared by every executing command."""
+    """Worker/observability flags shared by every executing command."""
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help="run sweeps on N worker processes (0 = all cores; results "
         "are bitwise identical to serial; default: $REPRO_MAX_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=parallel.TRANSPORT_MODES,
-        default=None,
-        help="worker payload transport: 'shm' (default) moves large "
-        "arrays through shared memory, 'pickle' ships everything over "
-        "the pipe; results are bitwise identical "
-        f"(default: ${parallel.TRANSPORT_ENV} or 'shm')",
     )
     parser.add_argument(
         "--trace",
@@ -658,8 +649,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.transport is not None:
-        parallel.set_transport_mode(args.transport)
     # One invocation = one observation window: artifacts must describe
     # exactly this run, so clear anything import-time code recorded.
     obs.reset()

@@ -77,9 +77,9 @@ def _health_from_deltas(deltas: dict[str, float]) -> dict[str, str]:
     Two signals that matter on long dataset/sweep runs: the
     scene-invariant cache hit ratio since the last beat (a cold worker
     shows ~0%, a warm one climbs toward 100%), and how many bytes the
-    parallel transport shipped (shm vs pickle combined). Both are pure
-    functions of counters the run already maintains — nothing new is
-    measured, so heartbeats stay observation-only.
+    pool shipped (both directions combined). Both are pure functions
+    of counters the run already maintains — nothing new is measured,
+    so heartbeats stay observation-only.
     """
     health: dict[str, str] = {}
     hits = sum(v for k, v in deltas.items() if k.startswith("cache.hits"))

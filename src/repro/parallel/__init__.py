@@ -20,7 +20,8 @@ output. Three contracts make that safe (see ``docs/PERFORMANCE.md``):
 Every map runs on one pool implementation,
 :class:`~repro.parallel.pool.PersistentPool`: the warm pool a caller
 installs with ``with``, or a one-shot pool :func:`parallel_map` forks
-for a single call (see :mod:`repro.parallel.pool`).
+for a single call (see :mod:`repro.parallel.pool`). Chunk items and
+results cross the worker pipe by pickle, the only transport.
 
 This is the only module tree allowed to import process-pool primitives
 (`concurrent.futures` / `multiprocessing`) — lint rule ML008 enforces
@@ -37,22 +38,12 @@ from repro.parallel.pool import (
     parallel_map,
     resolve_max_workers,
 )
-from repro.parallel.shm import (
-    TRANSPORT_ENV,
-    TRANSPORT_MODES,
-    set_transport_mode,
-    transport_mode,
-)
 
 __all__ = [
     "DEFAULT_WORKERS_ENV",
-    "TRANSPORT_ENV",
-    "TRANSPORT_MODES",
     "ParallelResult",
     "PersistentPool",
     "active_pool",
     "parallel_map",
     "resolve_max_workers",
-    "set_transport_mode",
-    "transport_mode",
 ]

@@ -30,11 +30,9 @@ How the trial function reaches the workers:
   the module global :data:`_WORKER_FN`, so the children inherit it
   copy-on-write and chunks ship no function at all.
 
-Warm state: a pool's workers keep everything they warm up —
-``repro.sim.cache`` entries, imported modules, the shm resource tracker
-— across chunks and across map calls. The transport is shipped with
-every chunk, so a parent-side ``--transport`` change reaches workers
-forked earlier.
+Warm state: a pool's workers keep what they warm up
+(``repro.sim.cache`` entries, imported modules) across chunks and
+across map calls.
 
 Streaming: :meth:`PersistentPool.imap_chunks` yields ordered per-chunk
 results as they arrive with a bounded submission window, so a consumer
@@ -49,17 +47,12 @@ parent's RNG copies were never advanced — and bump
 ``parallel.fallbacks{reason=...}``; a warm pool re-forks on its next
 call. ``shutdown()`` is idempotent and also runs from a context-manager
 exit and an ``atexit`` hook, so no run ends with zombie workers, and
-shared-memory arenas are swept on every exit path — success, trial
+in-flight futures are cancelled on every exit path — success, trial
 exception, ``KeyboardInterrupt``, broken pool.
 
-Transport: large ndarray payloads and results ride shared-memory
-arenas instead of the pickle pipe when :mod:`repro.parallel.shm` is in
-its default ``shm`` mode — the parent packs each chunk's arrays into
-one arena, the worker runs the trial function on views, and the parent
-reassembles owned copies and unlinks. RNG streams, scalars, and the
-obs delta stay pickled either way, so values are bit-identical across
-transports; ``parallel.bytes_shipped{path=pickle|shm}`` counts what
-moved over each path.
+Transport: chunk items and results cross the pipe by pickle.
+``parallel.bytes_shipped{direction=to_worker|to_parent}`` counts the
+pickled chunk payloads (parent side) and chunk results (worker side).
 
 See ``docs/PERFORMANCE.md`` for the measured warm-vs-one-shot speedup
 (``bench.parallel.warm_pool_speedup``).
@@ -81,7 +74,6 @@ from typing import Any, Callable, Iterator, Sequence
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs import stream
-from repro.parallel import shm
 
 __all__ = [
     "DEFAULT_WORKERS_ENV",
@@ -179,9 +171,8 @@ def _is_picklable(fn: Callable[[Any], Any]) -> bool:
 
 def _run_chunk(
     fn: Callable[[Any], Any] | None,
-    payloads: Any,
-    transport: str,
-) -> tuple[Any, dict, list[dict], list[dict], float]:
+    payloads: list[Any],
+) -> tuple[list[Any], dict, list[dict], list[dict], float]:
     """Worker side: run one chunk and package results + obs delta.
 
     ``fn`` is ``None`` when the trial function was inherited at fork
@@ -193,27 +184,16 @@ def _run_chunk(
         fn = _WORKER_FN
         if fn is None:  # pragma: no cover - indicates a non-fork pool misuse
             raise ConfigurationError("worker has no inherited trial function")
-    if transport == "shm":
-        # Mappings left over from earlier chunks on this worker can be
-        # closed now that their trial views are dead; the parent already
-        # unlinked those segments when it consumed the chunk results.
-        shm.purge_attached()
-        payloads = shm.unpack_views(payloads)
     # Fresh observation window: drop everything inherited from the
     # parent at fork time (or left by the previous chunk) so the
     # returned delta covers exactly this chunk.
     obs.reset()
     obs.get_tracer().detach_open_spans()
     t0 = time.perf_counter()
-    result: Any = [fn(payload) for payload in payloads]
-    if transport == "shm":
-        result, result_arena = shm.pack(result)
-        obs.counter("parallel.bytes_shipped", path="shm").inc(result.nbytes)
-        if result_arena is not None:
-            # Only close the mapping — the segment must outlive this
-            # worker so the parent can copy out of it; the parent
-            # unlinks it in shm.unpack_copies().
-            result_arena.close()
+    result = [fn(payload) for payload in payloads]
+    obs.counter("parallel.bytes_shipped", direction="to_parent").inc(
+        len(pickle.dumps(result))
+    )
     state = obs.get_registry().dump_state()
     spans = [s.to_dict() for s in obs.get_tracer().finished_spans()]
     events = [e.to_dict() for e in obs.get_tracer().events()]
@@ -294,9 +274,6 @@ class PersistentPool:
         if self._pool is None:
             if "fork" not in multiprocessing.get_all_start_methods():
                 raise _PoolBroken("no-fork")
-            # One resource tracker, spawned pre-fork, for every arena
-            # either side creates over the pool's whole lifetime.
-            shm.ensure_tracker()
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
@@ -406,7 +383,6 @@ class PersistentPool:
         infrastructure dies; trial exceptions propagate unchanged.
         """
         pool = self._ensure_pool()
-        transport = shm.transport_mode()
         shipped_fn = None if fn is self._inherited_fn else fn
         workers = min(self.max_workers, len(chunks))
         obs.gauge("parallel.workers").set(workers)
@@ -415,10 +391,6 @@ class PersistentPool:
         obs.counter("parallel.chunks").inc(len(chunks))
         obs.counter("parallel.pool.chunks").inc(len(chunks))
         window = _WINDOW_PER_WORKER * self.max_workers
-        # Item arenas still owned by the parent, keyed by chunk index.
-        # Each is destroyed as its chunk result arrives; _sweep reclaims
-        # the rest on any exit, so /dev/shm never leaks a segment.
-        item_arenas: dict[int, Any] = {}
         pending: dict[int, tuple[Any, float]] = {}
         emitter = stream.get_emitter()
         next_submit = 0
@@ -427,29 +399,13 @@ class PersistentPool:
         def _submit_next() -> None:
             nonlocal next_submit
             chunk_index = next_submit
-            payload: Any = [items[i] for i in chunks[chunk_index]]
-            if transport == "shm":
-                payload, arena = shm.pack(payload)
-                if arena is not None:
-                    item_arenas[chunk_index] = arena
-                obs.counter("parallel.bytes_shipped", path="shm").inc(payload.nbytes)
-            # What actually crosses the pipe for this chunk: the raw
-            # item list in pickle mode, the slotted remainder (RNG
-            # streams, scalars) in shm mode.
-            obs.counter("parallel.bytes_shipped", path="pickle").inc(
+            payload = [items[i] for i in chunks[chunk_index]]
+            obs.counter("parallel.bytes_shipped", direction="to_worker").inc(
                 len(pickle.dumps(payload))
             )
-            future = pool.submit(_run_chunk, shipped_fn, payload, transport)
+            future = pool.submit(_run_chunk, shipped_fn, payload)
             pending[chunk_index] = (future, time.perf_counter())
             next_submit += 1
-
-        def _sweep() -> None:
-            for future, _ in pending.values():
-                future.cancel()
-            pending.clear()
-            while item_arenas:
-                _, leftover = item_arenas.popitem()
-                shm.destroy(leftover)
 
         try:
             with obs.span("parallel.pool.map", tasks=len(items), workers=workers):
@@ -470,11 +426,6 @@ class PersistentPool:
                         except FutureTimeoutError:
                             stream.tick(done=done_items, total=len(items))
                     del pending[chunk_index]
-                    if transport == "shm":
-                        chunk_values = shm.unpack_copies(chunk_values)
-                        arena = item_arenas.pop(chunk_index, None)
-                        if arena is not None:
-                            shm.destroy(arena)
                     offset = dispatched - t0
                     obs.get_registry().merge_state(state)
                     obs.get_tracer().absorb_spans(spans, offset_s=offset)
@@ -501,7 +452,8 @@ class PersistentPool:
             self.shutdown(wait=True)
             raise
         finally:
-            _sweep()
+            for future, _ in pending.values():
+                future.cancel()
 
 
 # --- process-wide routing ----------------------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 from repro import obs
 from repro.analysis.sweeps import SweepPoint, run_error_sweep, run_sweep
 from repro.channel.scene import Scene2D
+from repro.cli import build_parser
 from repro.errors import ConfigurationError
 from repro.experiments import fig12_localization
 from repro.experiments.coverage_map import run_coverage_map
@@ -36,8 +37,6 @@ from repro.parallel import (
     active_pool,
     parallel_map,
     resolve_max_workers,
-    set_transport_mode,
-    transport_mode,
 )
 from repro.parallel import pool as pool_module
 from repro.parallel import shm
@@ -256,63 +255,8 @@ def _array_items(n):
 
 
 class TestShmTransport:
-    @pytest.fixture(autouse=True)
-    def _clean_transport(self, monkeypatch):
-        monkeypatch.delenv(shm.TRANSPORT_ENV, raising=False)
-        set_transport_mode(None)
-        yield
-        set_transport_mode(None)
-
-    def test_default_is_shm(self):
-        assert transport_mode() == "shm"
-
-    def test_env_var_selects_pickle(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        assert transport_mode() == "pickle"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "pickle")
-        set_transport_mode("shm")
-        assert transport_mode() == "shm"
-        set_transport_mode(None)
-        assert transport_mode() == "pickle"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            set_transport_mode("rdma")
-        monkeypatch.setenv(shm.TRANSPORT_ENV, "carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            transport_mode()
-
-    def test_pack_roundtrip_preserves_structure_and_dtypes(self):
-        rng = np.random.default_rng(3)
-        payload = [
-            {
-                "f": rng.normal(size=2048),
-                "c": rng.normal(size=1024) + 1j * rng.normal(size=1024),
-                "i": rng.integers(0, 99, size=1024),
-                "scalar": 2.5,
-            },
-            ("tag", rng.normal(size=700)),
-        ]
-        before = _shm_segments()
-        packed, arena = shm.pack(payload)
-        assert arena is not None
-        out = shm.unpack_copies(packed)
-        for key in ("f", "c", "i"):
-            assert out[0][key].dtype == payload[0][key].dtype
-            assert np.array_equal(out[0][key], payload[0][key])
-        assert out[0]["scalar"] == 2.5
-        assert out[1][0] == "tag"
-        # 700 float64s = 5600 bytes >= the 4096 threshold: lifted too.
-        assert np.array_equal(out[1][1], payload[1][1])
-        assert _shm_segments() == before
-
-    def test_small_payloads_skip_the_arena(self):
-        packed, arena = shm.pack([(1.0, np.arange(4)), "x"])
-        assert arena is None
-        assert packed.nbytes == 0
-        assert shm.unpack_copies(packed) == packed.payload
+    """Pool payloads travel by pickle: bitwise at any worker count, and
+    no run leaves a ``/dev/shm`` segment behind."""
 
     @pytest.mark.parametrize("mode", ["batched", "reference"])
     def test_bitwise_across_worker_counts_and_transports(self, mode):
@@ -321,36 +265,33 @@ class TestShmTransport:
         # runs compare the loop oracle against production bit for bit.
         serial = [_array_trial(item) for item in _array_items(8)]
         results = {}
-        for transport in ("shm", "pickle"):
-            set_transport_mode(transport)
-            for workers in (2, 4):
-                swap = reference_kernels() if mode == "reference" else nullcontext()
-                with swap:
-                    out = parallel_map(
-                        _array_trial, _array_items(8), max_workers=workers
-                    ).values
-                results[(transport, workers)] = out
+        for workers in (2, 4):
+            swap = reference_kernels() if mode == "reference" else nullcontext()
+            with swap:
+                results[workers] = parallel_map(
+                    _array_trial, _array_items(8), max_workers=workers
+                ).values
         for key, out in results.items():
             for got, want in zip(out, serial):
                 assert got[0] == want[0] and got[1] == want[1], key
                 assert np.array_equal(got[2], want[2]), key
 
     def test_bytes_shipped_counters(self):
-        set_transport_mode("shm")
         parallel_map(_array_trial, _array_items(6), max_workers=2)
-        shipped_shm = obs.counter("parallel.bytes_shipped", path="shm").value
-        shipped_pickle = obs.counter("parallel.bytes_shipped", path="pickle").value
-        # Item arrays (6 x 8 KiB) travel both directions (weights in,
-        # weights*error out) through arenas; the pipe carries only RNG
-        # streams, scalars, and slot markers.
-        assert shipped_shm >= 6 * 2 * 8192
-        assert 0 < shipped_pickle < shipped_shm
+        # Item arrays (6 x 8 KiB) travel both directions: weights in,
+        # weights*error out.
+        for direction in ("to_worker", "to_parent"):
+            shipped = obs.counter("parallel.bytes_shipped", direction=direction).value
+            assert shipped >= 6 * 8192, direction
 
-        obs.reset()
-        set_transport_mode("pickle")
-        parallel_map(_array_trial, _array_items(6), max_workers=2)
-        assert obs.counter("parallel.bytes_shipped", path="shm").value == 0
-        assert obs.counter("parallel.bytes_shipped", path="pickle").value > 6 * 8192
+    def test_transport_is_pickle(self):
+        # Run manifests record this constant as the transport they ran on.
+        assert shm.transport_mode() == "pickle"
+
+    def test_cli_has_no_transport_switch(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "fig12", "--transport", "pickle"])
+        assert excinfo.value.code == 2
 
     def test_no_segment_leak_on_success(self):
         before = _shm_segments()
@@ -380,7 +321,6 @@ class TestShmTransport:
         assert _shm_segments() == before
 
     def test_faults_campaign_bitwise_at_any_worker_count(self):
-        set_transport_mode("shm")
         config = CampaignConfig(rates=(0.0, 0.3), n_trials=2)
         before = _shm_segments()
         points = {
