@@ -24,7 +24,7 @@ from repro.netsim.fleet import (
     InventoryProcess,
     TransferProcess,
 )
-from repro.netsim.linkmodel import FleetLinkModel, LinkObservation
+from repro.netsim.linkmodel import FleetLinkModel, LinkArrays, LinkObservation
 from repro.netsim.roaming import RoamingController
 from repro.netsim.runner import (
     ScenarioResult,
@@ -52,6 +52,7 @@ __all__ = [
     "TransferProcess",
     "FleetLinkModel",
     "LinkObservation",
+    "LinkArrays",
     "RoamingController",
     "ScenarioResult",  # milback: disable=ML014 — public result type
     "run_scenario",

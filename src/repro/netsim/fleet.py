@@ -241,11 +241,7 @@ class InventoryProcess:
 
     # --- internals -----------------------------------------------------------------
 
-    def _reachable(self, node_id: str) -> bool:
-        node = self.nodes[node_id]
-        observation = self.model.observe(
-            self.ap.pose, node.pose_at(self.sim.now_s)
-        )
+    def _heard(self, node: FleetNode, observation: LinkObservation) -> bool:
         if observation.downlink_snr_db < MIN_DOWNLINK_SNR_DB:
             return False
         interference: tuple[float, ...] = ()
@@ -272,13 +268,25 @@ class InventoryProcess:
         frame_size = self._frame_size
         # Every pending tag draws its slot — in pending order, exactly
         # as SlottedInventory does — whether or not the AP can hear it.
+        # Reachability draws nothing, so the frame's links are evaluated
+        # after the draws, in one broadcast.
+        drawn = [int(self.rng.integers(0, frame_size)) for _ in self.pending]
+        links = self.model.observe_many(
+            [self.ap.pose],
+            [self.nodes[tag].pose_at(self.sim.now_s) for tag in self.pending],
+        )
         slots: dict[int, list[str]] = {}
         heard = 0
-        for tag in self.pending:
-            slot = int(self.rng.integers(0, frame_size))
-            if self._reachable(tag):
+        for j, (tag, slot) in enumerate(zip(self.pending, drawn)):
+            if self._heard(self.nodes[tag], links[0, j]):
                 slots.setdefault(slot, []).append(tag)
                 heard += 1
+        self._resolve_frame(frame_size, slots, heard)
+
+    def _resolve_frame(
+        self, frame_size: int, slots: dict[int, list[str]], heard: int
+    ) -> None:
+        """Resolve one frame's heard slots, log it, and schedule the next."""
         scheduler: SdmScheduler | None = None
         if any(len(occupants) > 1 for occupants in slots.values()):
             scheduler = SdmScheduler(self._frame_scene(), self.sdm_separation_deg)

@@ -15,23 +15,31 @@ quantities the network layer consumes:
 * **downlink SNR** [dB] — the node-side detector margin, calibrated to
   the paper's Fig. 14 operating point.
 
-Evaluations are cached per model instance keyed by exact geometry, so
-static fleets pay for each distinct pose once; the cache is bounded and
-its traffic lands in ``cache.{hits,misses}{cache=netsim_link}``. All
-outputs are pure functions of the inputs — no RNG, no wall clock — so
-a scenario's link behaviour replays identically anywhere.
+Two entry points share one budget formula (:meth:`FleetLinkModel._budget`):
+:meth:`FleetLinkModel.observe` evaluates one pair and caches it per
+model instance keyed by exact geometry, so static fleets pay for each
+distinct pose once (the cache is bounded and its traffic lands in
+``cache.{hits,misses}{cache=netsim_link}``);
+:meth:`FleetLinkModel.observe_many` evaluates every (AP, node) pair of
+a roaming tick or inventory frame as one NumPy broadcast, uncached. The
+broadcast reorders the FSA array-factor sum, so it matches the scalar
+path to ~1e-12 dB rather than bit for bit (see ``docs/NETWORK.md``).
+All outputs are pure functions of the inputs — no RNG, no wall clock —
+so a scenario's link behaviour replays identically anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.antennas.dual_port_fsa import DualPortFsa
 from repro.antennas.fixed import HornAntenna
 from repro.channel.propagation import free_space_path_loss_db
-from repro.channel.scene import NodePlacement, Scene2D
 from repro.constants import (
     AP_HORN_GAIN_DBI,
     AP_TX_POWER_DBM,
@@ -43,10 +51,9 @@ from repro.dsp.noise import thermal_noise_power_dbm
 from repro.errors import NetworkSimError
 from repro.hardware.switch import SpdtSwitch
 from repro.sim.calibration import Calibration, default_calibration
-from repro.sim.linkbudget import LinkBudget
 from repro.utils.geometry import Pose2D, angle_between_deg
 
-__all__ = ["LinkObservation", "FleetLinkModel"]
+__all__ = ["LinkObservation", "LinkArrays", "FleetLinkModel"]
 
 #: Node-side noise floor [dBm] referred to the detector input. Set so a
 #: 2 m downlink runs ≈25 dB of SNR — the Fig. 14 operating point the
@@ -64,6 +71,41 @@ class LinkObservation:
     rss_dbm: float
     uplink_snr_db: float
     downlink_snr_db: float
+
+
+@dataclass(frozen=True)
+class LinkArrays:
+    """(A, N) link-budget evaluations: row ``i`` is AP pose ``i``,
+    column ``j`` node pose ``j``. ``links[i, j]`` is that pair's
+    :class:`LinkObservation`."""
+
+    distance_m: np.ndarray
+    azimuth_deg: np.ndarray
+    orientation_deg: np.ndarray
+    rss_dbm: np.ndarray
+    uplink_snr_db: np.ndarray
+    downlink_snr_db: np.ndarray
+
+    def __getitem__(self, index: tuple[int, int]) -> LinkObservation:
+        # Fields are declared in LinkObservation's order.
+        return LinkObservation(*(float(a[index]) for a in vars(self).values()))
+
+
+def _wrap_deg(angle_deg: np.ndarray) -> np.ndarray:
+    """:func:`repro.utils.geometry.wrap_angle_deg`, elementwise and in
+    the same operation order."""
+    angle_rad = angle_deg * math.pi / 180.0
+    wrapped_rad = np.fmod(angle_rad + math.pi, 2.0 * math.pi)
+    wrapped_rad = np.where(wrapped_rad <= 0.0, wrapped_rad + 2.0 * math.pi, wrapped_rad)
+    return (wrapped_rad - math.pi) * 180.0 / math.pi
+
+
+def _pose_columns(poses: Sequence[Pose2D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, heading) arrays of a pose sequence."""
+    table = np.array(
+        [(p.position.x, p.position.y, p.heading_deg) for p in poses], dtype=float
+    ).reshape(len(poses), 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 class FleetLinkModel:
@@ -99,6 +141,11 @@ class FleetLinkModel:
         self._noise_floor_dbm = thermal_noise_power_dbm(
             symbol_bandwidth_hz, self.calibration.ap_noise_figure_db
         )
+        # Pose-independent terms of LinkBudget's port-A budgets: the
+        # reflect-state loss (two switch passes) on the backscatter
+        # path, the through loss on the downlink.
+        self._reflect_db = 2.0 * self._switch.insertion_loss_db
+        self._switch_db = -20.0 * math.log10(self._switch.through_amplitude())
         self._cache: dict[tuple[float, float, float], LinkObservation] = {}
         self._cache_size = cache_size
 
@@ -145,25 +192,90 @@ class FleetLinkModel:
                 cached.downlink_snr_db,
             )
         obs.counter("cache.misses", cache="netsim_link").inc()
-        aligned_hz = float(
-            self._fsa.port_a.alignment_frequency_hz(orientation_deg)
+        rss_dbm, uplink_snr_db, downlink_snr_db = self._budget(
+            distance_m, orientation_deg, blockage_db
         )
-        tone_hz = min(max(aligned_hz, BAND_START_HZ), BAND_STOP_HZ)
-        budget = LinkBudget(
-            scene=Scene2D(ap_pose, (NodePlacement(node_pose, "node"),), ()),
-            fsa=self._fsa,
-            tx_horn=self._tx_horn,
-            rx_horn=self._rx_horn,
-            switch=self._switch,
-            calibration=self.calibration,
-            tx_power_dbm=self.tx_power_dbm,
-            node_id="node",
+        observation = LinkObservation(
+            distance_m=distance_m,
+            azimuth_deg=azimuth_deg,
+            orientation_deg=orientation_deg,
+            rss_dbm=float(rss_dbm),
+            uplink_snr_db=float(uplink_snr_db),
+            downlink_snr_db=float(downlink_snr_db),
         )
-        uplink_gain_db = budget.backscatter_gain_db("A", tone_hz)
-        downlink_gain_db = budget.downlink_port_gain_db("A", tone_hz)
+        if len(self._cache) >= self._cache_size:
+            self._cache.pop(next(iter(self._cache)))
+        self._cache[key] = observation
+        return observation
+
+    def observe_many(
+        self,
+        ap_poses: Sequence[Pose2D],
+        node_poses: Sequence[Pose2D],
+        blockage_db=0.0,
+    ) -> LinkArrays:
+        """:meth:`observe` for every (AP, node) pair as one broadcast.
+
+        Returns (A, N) arrays, row per AP pose and column per node pose;
+        ``blockage_db`` broadcasts against that shape. Bypasses the
+        cache: a tick's whole fleet costs less as one broadcast than as
+        per-pair lookups. Agrees with :meth:`observe` to ~1e-12 dB (the
+        broadcast reorders the FSA array-factor sum, and NumPy's
+        ``hypot``/``arctan2`` may differ from ``math`` by an ulp).
+        """
+        ap_x, ap_y, ap_heading_deg = (c[:, None] for c in _pose_columns(ap_poses))
+        node_x, node_y, node_heading_deg = (
+            c[None, :] for c in _pose_columns(node_poses)
+        )
+        # Pose2D.distance_to / relative_bearing_to, elementwise.
+        distance_m = np.hypot(ap_x - node_x, ap_y - node_y)
+        azimuth_deg = _wrap_deg(
+            np.arctan2(node_y - ap_y, node_x - ap_x) * 180.0 / math.pi
+            - ap_heading_deg
+        )
+        orientation_deg = _wrap_deg(
+            np.arctan2(ap_y - node_y, ap_x - node_x) * 180.0 / math.pi
+            - node_heading_deg
+        )
+        rss_dbm, uplink_snr_db, downlink_snr_db = self._budget(
+            distance_m, orientation_deg, blockage_db
+        )
+        return LinkArrays(
+            distance_m, azimuth_deg, orientation_deg, rss_dbm, uplink_snr_db, downlink_snr_db
+        )
+
+    def _budget(self, distance_m, orientation_deg, blockage_db):
+        """(RSS, uplink SNR, downlink SNR) at the steered port-A tone.
+
+        :class:`repro.sim.linkbudget.LinkBudget`'s ``backscatter_gain_db``
+        and ``downlink_port_gain_db`` for port A, term for term and in
+        the same order, with the FSA gain evaluated once for both;
+        broadcasts over array arguments.
+        """
+        aligned_hz = self._fsa.port_a.alignment_frequency_hz(orientation_deg)
+        tone_hz = np.clip(aligned_hz, BAND_START_HZ, BAND_STOP_HZ)
+        fspl_db = free_space_path_loss_db(distance_m, tone_hz)
+        fsa_gain_dbi = self._fsa.port_a.gain_dbi(orientation_deg, tone_hz)
+        cal = self.calibration
+        uplink_gain_db = (
+            self._tx_horn.peak_gain_dbi
+            + 2.0 * fsa_gain_dbi
+            + self._rx_horn.peak_gain_dbi
+            - 2.0 * fspl_db
+            - self._reflect_db
+            - cal.backscatter_modulation_loss_db
+            - cal.uplink_implementation_loss_db
+        )
+        downlink_gain_db = (
+            self._tx_horn.peak_gain_dbi
+            + fsa_gain_dbi
+            - fspl_db
+            - self._switch_db
+            - cal.downlink_implementation_loss_db
+        )
         rss_dbm = self.tx_power_dbm + uplink_gain_db - 2.0 * blockage_db
-        uplink_snr_db = min(
-            rss_dbm - self._noise_floor_dbm, self.calibration.uplink_sinr_cap_db
+        uplink_snr_db = np.minimum(
+            rss_dbm - self._noise_floor_dbm, cal.uplink_sinr_cap_db
         )
         downlink_snr_db = (
             self.tx_power_dbm
@@ -171,18 +283,7 @@ class FleetLinkModel:
             - blockage_db
             - self.node_noise_floor_dbm
         )
-        observation = LinkObservation(
-            distance_m=distance_m,
-            azimuth_deg=azimuth_deg,
-            orientation_deg=orientation_deg,
-            rss_dbm=rss_dbm,
-            uplink_snr_db=uplink_snr_db,
-            downlink_snr_db=downlink_snr_db,
-        )
-        if len(self._cache) >= self._cache_size:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = observation
-        return observation
+        return rss_dbm, uplink_snr_db, downlink_snr_db
 
     # --- inter-AP interference ----------------------------------------------------
 

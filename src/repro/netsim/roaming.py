@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro import obs
 from repro.errors import NetworkSimError
 from repro.utils.geometry import Pose2D
@@ -82,25 +84,21 @@ class RoamingController:
 
     def attach_all(self) -> None:
         """Give every node its best-RSS serving AP (initial attachment)."""
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            best = self._best_ap(node)
-            node.serving_ap = best
-            self.aps[best].members.append(node_id)
+        ap_ids = sorted(self.aps)
+        node_ids = sorted(self.nodes)
+        rss_dbm = self._rss_dbm(ap_ids, node_ids)
+        # argmax takes the first maximum, so ties break on ap id.
+        for node_id, best in zip(node_ids, np.argmax(rss_dbm, axis=0).tolist()):
+            self.nodes[node_id].serving_ap = ap_ids[best]
+            self.aps[ap_ids[best]].members.append(node_id)
 
-    def _best_ap(self, node: FleetNode) -> str:
-        pose = node.pose_at(self.sim.now_s)
-        # Ties break on ap id: sort ascending, take the max of
-        # (rss, reversed-id preference) deterministically.
-        best_id: str | None = None
-        best_rss_dbm = -math.inf
-        for ap_id in sorted(self.aps):
-            rss_dbm = self.model.observe(self.aps[ap_id].pose, pose).rss_dbm
-            if rss_dbm > best_rss_dbm:
-                best_rss_dbm = rss_dbm
-                best_id = ap_id
-        assert best_id is not None
-        return best_id
+    def _rss_dbm(self, ap_ids: list[str], node_ids: list[str]) -> np.ndarray:
+        """(AP, node) RSS at the current simulated time, one broadcast."""
+        now_s = self.sim.now_s
+        return self.model.observe_many(
+            [self.aps[ap_id].pose for ap_id in ap_ids],
+            [self.nodes[node_id].pose_at(now_s) for node_id in node_ids],
+        ).rss_dbm
 
     # --- periodic handoff evaluation -----------------------------------------------
 
@@ -109,21 +107,20 @@ class RoamingController:
         self.sim.schedule(self.interval_s, self._tick)
 
     def _tick(self) -> None:
-        now_s = self.sim.now_s
-        for node_id in sorted(self.nodes):
+        # A handoff changes only its own node's serving AP, so the whole
+        # tick's RSS table can be evaluated before any decision.
+        ap_ids = sorted(self.aps)
+        node_ids = [n for n in sorted(self.nodes) if self.nodes[n].serving_ap is not None]
+        rss_dbm = self._rss_dbm(ap_ids, node_ids).T.tolist()
+        for node_id, row in zip(node_ids, rss_dbm):
             node = self.nodes[node_id]
             serving = node.serving_ap
-            if serving is None:
-                continue
-            pose = node.pose_at(now_s)
-            serving_rss_dbm = self.model.observe(self.aps[serving].pose, pose).rss_dbm
-            for ap_id in sorted(self.aps):
-                if ap_id == serving:
-                    continue
-                rss_dbm = self.model.observe(self.aps[ap_id].pose, pose).rss_dbm
-                if rss_dbm > serving_rss_dbm + self.hysteresis_db:
-                    self._handoff(node, serving, ap_id, serving_rss_dbm, rss_dbm)
+            serving_rss_dbm = row[ap_ids.index(serving)]
+            for ap_id, rss in zip(ap_ids, row):
+                if ap_id != serving and rss > serving_rss_dbm + self.hysteresis_db:
+                    self._handoff(node, serving, ap_id, serving_rss_dbm, rss)
                     break
+        now_s = self.sim.now_s
         if self.horizon_s is None or now_s + self.interval_s <= self.horizon_s:
             self.sim.schedule(self.interval_s, self._tick)
 

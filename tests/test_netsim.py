@@ -1,13 +1,16 @@
 """Tests for repro.netsim: kernel, link model, fleet actors, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.channel.mobility import Waypoint, WaypointTrajectory
 from repro.channel.scene import NodePlacement, Scene2D
+from repro.constants import BAND_START_HZ, BAND_STOP_HZ
 from repro.errors import NetworkSimError, ProtocolError
 from repro.netsim import (
     FleetAp,
@@ -15,6 +18,7 @@ from repro.netsim import (
     FleetLinkModel,
     FleetNode,
     InventoryProcess,
+    LinkArrays,
     NetworkSimulation,
     RoamingController,
     SCENARIOS,
@@ -29,9 +33,24 @@ from repro.netsim import (
 from repro.netsim.core import EventQueue
 from repro.protocol.arq import ReliableChannel
 from repro.protocol.inventory import SlottedInventory
+from repro.sim.linkbudget import LinkBudget
 from repro.utils.geometry import Pose2D
 from repro.utils.rng import indexed_rngs
 from tests.kernel_oracle import both_impls
+from tests.netsim_oracle import both_paths
+
+#: ``three-ap-roaming`` at seed 0, recorded on the per-pair link loops
+#: before link evaluation was batched. Production and the loop oracle
+#: must both still produce it, so they cannot drift together.
+ROAMING_SEED0_PIN = {
+    "trace_digest": "c00976df9f2f9c34290d55ddbda5a135db5aa223e91ead6896188c62aa49a546",
+    "handoffs": 54,
+    "events_processed": 762,
+    "transfers_delivered": 47,
+}
+
+#: Largest |batched - scalar| accepted on any link field (dB, m, deg).
+BATCH_TOLERANCE = 1e-9
 
 
 class TestEventQueue:
@@ -174,6 +193,97 @@ class TestFleetLinkModel:
             FleetLinkModel(symbol_bandwidth_hz=0.0)
         with pytest.raises(NetworkSimError):
             FleetLinkModel(cache_size=0)
+
+
+class TestObserveMany:
+    """The broadcast link evaluation against the cached scalar path."""
+
+    @pytest.mark.parametrize("time_s", [0.0, 4.0, 11.5, 30.0])
+    def test_matches_scalar_observe_over_a_roaming_fleet(self, time_s):
+        aps, nodes = build_fleet(get_scenario("three-ap-roaming"), 0)
+        ap_poses = [ap.pose for ap in aps]
+        node_poses = [nodes[n].pose_at(time_s) for n in sorted(nodes)]
+        model = FleetLinkModel()
+        links = model.observe_many(ap_poses, node_poses)
+        assert isinstance(links, LinkArrays)
+        assert links.rss_dbm.shape == (3, 120)
+        for i, ap_pose in enumerate(ap_poses):
+            for j, node_pose in enumerate(node_poses):
+                scalar = dataclasses.astuple(model.observe(ap_pose, node_pose))
+                batched = dataclasses.astuple(links[i, j])
+                np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=BATCH_TOLERANCE)
+
+    def test_blockage_broadcasts(self):
+        model = FleetLinkModel()
+        aps = [Pose2D.at(0.0, 0.0, 90.0), Pose2D.at(24.0, 0.0, 90.0)]
+        nodes = [Pose2D.at(3.0, 5.0, 250.0), Pose2D.at(20.0, 6.0, 290.0)]
+        blockage_db = np.array([[0.0, 5.0], [10.0, 2.5]])
+        links = model.observe_many(aps, nodes, blockage_db)
+        for i, ap in enumerate(aps):
+            for j, node in enumerate(nodes):
+                scalar = model.observe(ap, node, float(blockage_db[i, j]))
+                assert links[i, j].rss_dbm == pytest.approx(scalar.rss_dbm, abs=BATCH_TOLERANCE)
+                assert links[i, j].downlink_snr_db == pytest.approx(
+                    scalar.downlink_snr_db, abs=BATCH_TOLERANCE
+                )
+
+    def test_no_nodes_gives_empty_arrays(self):
+        links = FleetLinkModel().observe_many([Pose2D.at(0.0, 0.0)], [])
+        assert links.rss_dbm.shape == (1, 0)
+
+
+class TestBudgetFidelity:
+    """netsim's budget helper against the waveform tier's LinkBudget."""
+
+    DISTANCES_M = (0.5, 2.0, 7.0, 19.0)
+    #: Port A scans about -30..30 deg over the band; +-45 and +-70 deg
+    #: need tones outside it and exercise the clamp.
+    ORIENTATIONS_DEG = (-70.0, -45.0, -20.0, 0.0, 12.5, 29.0, 45.0, 70.0)
+    BLOCKAGES_DB = (0.0, 6.0)
+
+    def test_budget_equals_linkbudget(self):
+        model = FleetLinkModel()
+        grid, expected = [], []
+        clamped = 0
+        for distance_m in self.DISTANCES_M:
+            for orientation_deg in self.ORIENTATIONS_DEG:
+                scene = Scene2D.single_node(
+                    distance_m, 0.0, orientation_deg, with_clutter=False
+                )
+                budget = LinkBudget(scene)
+                orientation = budget.node_orientation_deg()
+                aligned_hz = float(
+                    budget.fsa.port_a.alignment_frequency_hz(orientation)
+                )
+                tone_hz = min(max(aligned_hz, BAND_START_HZ), BAND_STOP_HZ)
+                clamped += tone_hz != aligned_hz
+                uplink_db = budget.backscatter_gain_db("A", tone_hz)
+                downlink_db = budget.downlink_port_gain_db("A", tone_hz)
+                for blockage_db in self.BLOCKAGES_DB:
+                    rss_dbm = budget.tx_power_dbm + uplink_db - 2.0 * blockage_db
+                    grid.append((budget.node_distance_m(), orientation, blockage_db))
+                    expected.append(
+                        (
+                            rss_dbm,
+                            min(
+                                rss_dbm - model.ap_noise_floor_dbm,
+                                model.calibration.uplink_sinr_cap_db,
+                            ),
+                            budget.tx_power_dbm
+                            + downlink_db
+                            - blockage_db
+                            - model.node_noise_floor_dbm,
+                        )
+                    )
+        assert clamped == 4 * len(self.DISTANCES_M)
+        expected = np.array(expected)
+        # One broadcast over the whole grid, and every point on its own.
+        got = np.stack(model._budget(*np.array(grid).T), axis=1)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=BATCH_TOLERANCE)
+        for point, row in zip(grid, expected):
+            np.testing.assert_allclose(
+                [float(v) for v in model._budget(*point)], row, rtol=0.0, atol=BATCH_TOLERANCE
+            )
 
 
 def _single_ap_fixture(n_nodes=5, seed=0, name="five-node-crosscheck"):
@@ -374,6 +484,15 @@ class TestScenarioDeterminism:
         results = both_impls(lambda: run_scenario("five-node-crosscheck", seed=0))
         assert results["batched"] == results["reference"]
 
+    @pytest.mark.parametrize(
+        "name,seed",
+        [("three-ap-roaming", seed) for seed in range(4)]
+        + [("five-node-crosscheck", 0), ("single-ap-500", 0)],
+    )
+    def test_identical_to_the_scalar_link_loops(self, name, seed):
+        results = both_paths(lambda: run_scenario(name, seed=seed))
+        assert results["batched"] == results["scalar"]
+
     def test_different_seeds_differ(self):
         a = run_scenario("single-ap-100", seed=0)
         b = run_scenario("single-ap-100", seed=1)
@@ -391,6 +510,9 @@ class TestScenarioOutcomes:
 
     def test_roaming_scenario_hands_off_and_interferes(self):
         result = run_scenario("three-ap-roaming", seed=0)
+        assert {key: getattr(result, key) for key in ROAMING_SEED0_PIN} == (
+            ROAMING_SEED0_PIN
+        )
         assert result.n_aps == 3
         assert result.handoffs > 0
         assert 0 < result.inventoried <= result.n_nodes
@@ -401,3 +523,55 @@ class TestScenarioOutcomes:
         assert spec.trace_capacity is not None
         result = run_scenario("three-ap-roaming", seed=0)
         assert result.trace_events <= spec.trace_capacity
+
+
+class TestRoamingInvariants:
+    """Handoff and inventory invariants over small random fleets."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_nodes=st.integers(min_value=2, max_value=12),
+        n_aps=st.integers(min_value=2, max_value=3),
+        mobile_fraction=st.sampled_from([0.3, 0.6, 1.0]),
+        hysteresis_db=st.sampled_from([0.0, 1.5, 3.0, 6.0]),
+    )
+    def test_handoffs_beat_hysteresis_and_inventory_is_bounded(
+        self, seed, n_nodes, n_aps, mobile_fraction, hysteresis_db
+    ):
+        spec = dataclasses.replace(
+            get_scenario("three-ap-roaming"),
+            name="hypothesis-roaming",
+            n_nodes=n_nodes,
+            n_aps=n_aps,
+            mobile_fraction=mobile_fraction,
+            hysteresis_db=hysteresis_db,
+            horizon_s=4.0,
+        )
+        aps, nodes = build_fleet(spec, seed)
+        sim = NetworkSimulation()
+        controller = RoamingController(
+            sim,
+            FleetLinkModel(),
+            aps,
+            nodes,
+            interval_s=spec.roam_interval_s,
+            hysteresis_db=hysteresis_db,
+            horizon_s=spec.horizon_s,
+        )
+        controller.attach_all()
+        controller.start()
+        sim.run(until_s=spec.horizon_s)
+        handoffs = sim.trace.events("netsim.handoff")
+        assert len(handoffs) == controller.handoffs
+        for event in handoffs:
+            detail = event.detail
+            assert detail["to_ap"] != detail["from_ap"]
+            # Both RSS figures are logged rounded to 0.01 dB.
+            assert detail["to_rss_dbm"] > detail["from_rss_dbm"] + hysteresis_db - 0.01
+        assert sorted(m for ap in aps for m in ap.members) == sorted(nodes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(SCENARIOS, spec.name, spec)
+            result = run_scenario(spec.name, seed=seed)
+        assert 0 <= result.inventoried <= n_nodes
