@@ -4,8 +4,6 @@ from repro.channel.propagation import (
     free_space_path_loss_db,
     propagation_delay_s,
     propagation_phase_rad,
-    friis_received_power_dbm,
-    backscatter_received_power_dbm,
     clutter_received_power_dbm,
     complex_path_gain,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "free_space_path_loss_db",
     "propagation_delay_s",
     "propagation_phase_rad",
-    "friis_received_power_dbm",
-    "backscatter_received_power_dbm",
     "clutter_received_power_dbm",
     "complex_path_gain",
     "Reflector",

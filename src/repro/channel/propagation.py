@@ -1,8 +1,9 @@
-"""Free-space propagation and link budgets at mmWave.
+"""Free-space propagation at mmWave.
 
-Everything the paper's ranges and SNRs rest on: the Friis equation for
-the one-way downlink, a double-Friis backscatter budget for the uplink,
-and the radar equation for environmental clutter.
+The terms the paper's ranges and SNRs rest on: free-space path loss and
+delay (composed into the node's link budgets by
+:func:`repro.sim.linkbudget.port_gains_db`), and the radar equation for
+environmental clutter.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ __all__ = [
     "free_space_path_loss_db",
     "propagation_delay_s",
     "propagation_phase_rad",
-    "friis_received_power_dbm",
-    "backscatter_received_power_dbm",
     "clutter_received_power_dbm",
     "complex_path_gain",
 ]
@@ -48,54 +47,6 @@ def propagation_phase_rad(distance_m: float, frequency_hz: float) -> float:
     """Carrier phase accumulated over ``distance_m`` (−2π d / λ)."""
     lam = SPEED_OF_LIGHT / frequency_hz
     return -2.0 * math.pi * distance_m / lam
-
-
-def friis_received_power_dbm(
-    tx_power_dbm: float,
-    tx_gain_dbi: float,
-    rx_gain_dbi: float,
-    distance_m: float,
-    frequency_hz: float,
-    extra_loss_db: float = 0.0,
-) -> float:
-    """One-way Friis link budget [dBm]."""
-    return (
-        tx_power_dbm
-        + tx_gain_dbi
-        + rx_gain_dbi
-        - float(free_space_path_loss_db(distance_m, frequency_hz))
-        - extra_loss_db
-    )
-
-
-def backscatter_received_power_dbm(
-    tx_power_dbm: float,
-    ap_tx_gain_dbi: float,
-    ap_rx_gain_dbi: float,
-    node_gain_in_dbi: float,
-    node_gain_out_dbi: float,
-    distance_m: float,
-    frequency_hz: float,
-    modulation_loss_db: float = 0.0,
-    extra_loss_db: float = 0.0,
-) -> float:
-    """Two-way backscatter budget: AP → node → AP [dBm].
-
-    The node's antenna gain counts twice (capture and re-radiation), and
-    the path loss counts twice — the 1/d⁴ law behind the uplink's faster
-    roll-off versus downlink (paper §9.5).
-    """
-    fspl = float(free_space_path_loss_db(distance_m, frequency_hz))
-    return (
-        tx_power_dbm
-        + ap_tx_gain_dbi
-        + node_gain_in_dbi
-        + node_gain_out_dbi
-        + ap_rx_gain_dbi
-        - 2.0 * fspl
-        - modulation_loss_db
-        - extra_loss_db
-    )
 
 
 def clutter_received_power_dbm(

@@ -21,6 +21,7 @@ __all__ = [
     "bandpass",
     "moving_average",
     "single_pole_lowpass",
+    "single_pole_recursion",
 ]
 
 
@@ -128,25 +129,24 @@ def single_pole_lowpass(signal: Signal, bandwidth_hz: float) -> Signal:
         raise ConfigurationError("bandwidth must be positive")
     dt = 1.0 / signal.sample_rate_hz
     alpha = 1.0 - np.exp(-2.0 * np.pi * bandwidth_hz * dt)
-    samples = signal.samples
-    # First-order recursion; numpy cannot vectorize the dependence chain,
-    # but scipy's lfilter can.
-    try:
-        from scipy.signal import lfilter
-
-        out = lfilter([alpha], [1.0, -(1.0 - alpha)], samples)
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        out = np.empty_like(samples)
-        state = 0.0 + 0.0j
-        for i, x in enumerate(samples):
-            state = state + alpha * (x - state)
-            out[i] = state
     return Signal(
-        out,
+        single_pole_recursion(signal.samples, alpha),
         signal.sample_rate_hz,
         signal.center_frequency_hz,
         signal.start_time_s,
     )
+
+
+def single_pole_recursion(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """``y[n] = y[n-1] + alpha·(x[n] − y[n-1])`` from rest.
+
+    NumPy cannot vectorize the dependence chain, but scipy's ``lfilter``
+    can. It is imported here, on first use, so that importing the
+    package does not load ``scipy.signal`` (~1 s of cold start).
+    """
+    from scipy.signal import lfilter
+
+    return lfilter([alpha], [1.0, -(1.0 - alpha)], samples)
 
 
 def _check_band(edge_hz: float, sample_rate_hz: float) -> None:

@@ -15,7 +15,9 @@ quantities the network layer consumes:
 * **downlink SNR** [dB] — the node-side detector margin, calibrated to
   the paper's Fig. 14 operating point.
 
-Two entry points share one budget formula (:meth:`FleetLinkModel._budget`):
+Two entry points share one budget helper (:meth:`FleetLinkModel._budget`),
+which steers the tone and takes the gains from
+:func:`repro.sim.linkbudget.port_gains_db`:
 :meth:`FleetLinkModel.observe` evaluates one pair and caches it per
 model instance keyed by exact geometry, so static fleets pay for each
 distinct pose once (the cache is bounded and its traffic lands in
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +42,7 @@ import numpy as np
 from repro import obs
 from repro.antennas.dual_port_fsa import DualPortFsa
 from repro.antennas.fixed import HornAntenna
+from repro.antennas.fsa import FsaPort
 from repro.channel.propagation import free_space_path_loss_db
 from repro.constants import (
     AP_HORN_GAIN_DBI,
@@ -51,6 +55,7 @@ from repro.dsp.noise import thermal_noise_power_dbm
 from repro.errors import NetworkSimError
 from repro.hardware.switch import SpdtSwitch
 from repro.sim.calibration import Calibration, default_calibration
+from repro.sim.linkbudget import port_gains_db
 from repro.utils.geometry import Pose2D, angle_between_deg
 
 __all__ = ["LinkObservation", "LinkArrays", "FleetLinkModel"]
@@ -137,15 +142,18 @@ class FleetLinkModel:
         self._fsa = DualPortFsa()
         self._tx_horn = HornAntenna(AP_HORN_GAIN_DBI)
         self._rx_horn = HornAntenna(AP_HORN_GAIN_DBI)
-        self._switch = SpdtSwitch()
+        self._port_a_gains_db = partial(
+            port_gains_db,
+            FsaPort.A,
+            fsa=self._fsa,
+            tx_horn=self._tx_horn,
+            rx_horn=self._rx_horn,
+            switch=SpdtSwitch(),
+            calibration=self.calibration,
+        )
         self._noise_floor_dbm = thermal_noise_power_dbm(
             symbol_bandwidth_hz, self.calibration.ap_noise_figure_db
         )
-        # Pose-independent terms of LinkBudget's port-A budgets: the
-        # reflect-state loss (two switch passes) on the backscatter
-        # path, the through loss on the downlink.
-        self._reflect_db = 2.0 * self._switch.insertion_loss_db
-        self._switch_db = -20.0 * math.log10(self._switch.through_amplitude())
         self._cache: dict[tuple[float, float, float], LinkObservation] = {}
         self._cache_size = cache_size
 
@@ -247,32 +255,15 @@ class FleetLinkModel:
     def _budget(self, distance_m, orientation_deg, blockage_db):
         """(RSS, uplink SNR, downlink SNR) at the steered port-A tone.
 
-        :class:`repro.sim.linkbudget.LinkBudget`'s ``backscatter_gain_db``
-        and ``downlink_port_gain_db`` for port A, term for term and in
-        the same order, with the FSA gain evaluated once for both;
-        broadcasts over array arguments.
+        The gains are :func:`repro.sim.linkbudget.port_gains_db`'s (one
+        FSA evaluation for both); broadcasts over array arguments.
         """
         aligned_hz = self._fsa.port_a.alignment_frequency_hz(orientation_deg)
         tone_hz = np.clip(aligned_hz, BAND_START_HZ, BAND_STOP_HZ)
-        fspl_db = free_space_path_loss_db(distance_m, tone_hz)
-        fsa_gain_dbi = self._fsa.port_a.gain_dbi(orientation_deg, tone_hz)
+        uplink_gain_db, downlink_gain_db = self._port_a_gains_db(
+            distance_m, orientation_deg, tone_hz
+        )
         cal = self.calibration
-        uplink_gain_db = (
-            self._tx_horn.peak_gain_dbi
-            + 2.0 * fsa_gain_dbi
-            + self._rx_horn.peak_gain_dbi
-            - 2.0 * fspl_db
-            - self._reflect_db
-            - cal.backscatter_modulation_loss_db
-            - cal.uplink_implementation_loss_db
-        )
-        downlink_gain_db = (
-            self._tx_horn.peak_gain_dbi
-            + fsa_gain_dbi
-            - fspl_db
-            - self._switch_db
-            - cal.downlink_implementation_loss_db
-        )
         rss_dbm = self.tx_power_dbm + uplink_gain_db - 2.0 * blockage_db
         uplink_snr_db = np.minimum(
             rss_dbm - self._noise_floor_dbm, cal.uplink_sinr_cap_db

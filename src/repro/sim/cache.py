@@ -43,14 +43,13 @@ from repro.sim.linkbudget import LinkBudget, PathGain
 __all__ = [
     "ChirpGrid",
     "SceneInvariantCache",  # milback: disable=ML014 — public cache API
-    "backscatter_gain_db",
     "cache_sizes",  # milback: disable=ML014 — public warmth probe
     "chirp_grid",
     "clear_caches",
     "clutter_paths",  # milback: disable=ML014 — public cache API
-    "downlink_port_gain_db",
     "frozen_array",
     "fsa_gain_sweep",
+    "port_gain_db",
     "static_beat_field",
 ]
 
@@ -237,25 +236,19 @@ def clutter_paths(
     )
 
 
-def downlink_port_gain_db(budget: LinkBudget, port: str, frequency_hz: float) -> float:
-    """Memoized :meth:`LinkBudget.downlink_port_gain_db` scalar."""
-    if budget.atmosphere is not None:
-        obs.counter("cache.bypasses", cache="link_scalars").inc()
-        return budget.downlink_port_gain_db(port, frequency_hz)
-    key = ("downlink", _budget_key(budget), str(port), float(frequency_hz))
-    return _SCALAR_GAIN_CACHE.get_or_create(
-        key, lambda: float(budget.downlink_port_gain_db(port, frequency_hz))
+def port_gain_db(budget: LinkBudget, path: str, port: str, frequency_hz: float) -> float:
+    """Memoized :meth:`LinkBudget.backscatter_gain_db` (``path`` is
+    ``"backscatter"``) or :meth:`LinkBudget.downlink_port_gain_db`
+    (``"downlink"``) scalar."""
+    evaluate_db = (
+        budget.backscatter_gain_db if path == "backscatter" else budget.downlink_port_gain_db
     )
-
-
-def backscatter_gain_db(budget: LinkBudget, port: str, frequency_hz: float) -> float:
-    """Memoized :meth:`LinkBudget.backscatter_gain_db` scalar."""
     if budget.atmosphere is not None:
         obs.counter("cache.bypasses", cache="link_scalars").inc()
-        return budget.backscatter_gain_db(port, frequency_hz)
-    key = ("backscatter", _budget_key(budget), str(port), float(frequency_hz))
+        return evaluate_db(port, frequency_hz)
+    key = (path, _budget_key(budget), str(port), float(frequency_hz))
     return _SCALAR_GAIN_CACHE.get_or_create(
-        key, lambda: float(budget.backscatter_gain_db(port, frequency_hz))
+        key, lambda: float(evaluate_db(port, frequency_hz))
     )
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro import faults, obs
 from repro.antennas.dual_port_fsa import TonePair
@@ -27,6 +26,7 @@ from repro.channel.propagation import propagation_delay_s
 from repro.channel.scene import Scene2D
 from repro.constants import SPEED_OF_LIGHT
 from repro.dsp.envelope import two_tone_mean_envelope
+from repro.dsp.filters import single_pole_recursion
 from repro.dsp.noise import thermal_noise_power_w
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, LocalizationError
@@ -198,33 +198,23 @@ class MilBackSimulator:
         # baseline phase-center offset.
         self._slope_error = float(self.rng.normal(0.0, cal.slope_error_sigma))
         self._aoa_bias_deg = float(self.rng.normal(0.0, cal.aoa_bias_sigma_deg))
+        # The run's ripple control points per port, drawn from the trial
+        # RNG on the port's first use (that fixes the draw order).
+        self._ripple_tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # Per-instance memos for quantities that mix the instance's own
         # ripple realization with scene-invariant terms; keyed by
-        # (kind, port, grid key). The cross-instance RNG-free pieces live
-        # in repro.sim.cache.
+        # (port, grid key) and (path, port, grid key). The cross-instance
+        # RNG-free pieces live in repro.sim.cache.
         self._ripple_interp: dict[tuple, np.ndarray] = {}
         self._amplitude_memo: dict[tuple, np.ndarray] = {}
-        self.budget = LinkBudget(
-            scene=scene,
-            fsa=self.node.fsa,
-            tx_horn=self.ap.config.tx_horn,
-            rx_horn=self.ap.config.rx_horn,
-            switch=self.node.config.switch_a,
-            calibration=self.calibration,
-            tx_power_dbm=self.ap.config.tx_power_dbm,
-            node_id=node_id,
-            atmosphere=atmosphere,
+        self.budget = LinkBudget.for_endpoints(
+            scene, self.node, self.ap, self.calibration, node_id, atmosphere
         )
 
     # --- FSA gain ripple ------------------------------------------------------------
 
-    def _gain_ripple_db(
-        self,
-        port: str,
-        freqs_hz: np.ndarray,
-        grid_key: tuple | None = None,
-    ) -> np.ndarray:
-        """Slowly varying random gain ripple across the band for one port.
+    def _gain_ripple_db(self, port: str, grid: simcache.ChirpGrid) -> np.ndarray:
+        """Slowly varying random gain ripple across ``grid`` for one port.
 
         Drawn once per simulator instance (one physical measurement run):
         Gaussian control points every ``fsa_ripple_correlation_hz``,
@@ -232,20 +222,18 @@ class MilBackSimulator:
         multipath standing waves — the error floor of the paper's
         orientation experiments.
 
-        The control points come from the trial RNG, so they can never be
-        shared across instances — but the interpolation onto a named
-        frequency grid is memoized per ``(port, grid_key)`` within this
-        instance (the grid never changes between bursts of one run).
+        The control points come from the trial RNG on a port's first use,
+        so they can never be shared across instances — but the
+        interpolation onto a grid is memoized per ``(port, grid.key)``
+        within this instance (the grid never changes between bursts of
+        one run).
         """
         cal = self.calibration
         if cal.fsa_gain_ripple_db <= 0:
-            return np.zeros_like(np.asarray(freqs_hz, dtype=float))
-        if grid_key is not None:
-            cached = self._ripple_interp.get((port, grid_key))
-            if cached is not None:
-                return cached
-        if not hasattr(self, "_ripple_tables"):
-            self._ripple_tables = {}
+            return np.zeros_like(grid.f_inst)
+        cached = self._ripple_interp.get((port, grid.key))
+        if cached is not None:
+            return cached
         if port not in self._ripple_tables:
             lo, hi = self.node.fsa.band_hz
             span = hi - lo
@@ -254,99 +242,38 @@ class MilBackSimulator:
             ctrl_v = cal.fsa_gain_ripple_db * self.rng.standard_normal(n_ctrl)
             self._ripple_tables[port] = (ctrl_f, ctrl_v)
         ctrl_f, ctrl_v = self._ripple_tables[port]
-        ripple = np.interp(np.asarray(freqs_hz, dtype=float), ctrl_f, ctrl_v)
-        if grid_key is not None:
-            ripple = simcache.frozen_array(ripple)
-            self._ripple_interp[(port, grid_key)] = ripple
+        ripple = simcache.frozen_array(np.interp(grid.f_inst, ctrl_f, ctrl_v))
+        self._ripple_interp[(port, grid.key)] = ripple
         return ripple
 
-    # --- vectorized budget helpers ------------------------------------------------
+    # --- frequency-resolved budget ------------------------------------------------
 
-    def _backscatter_amplitude(
-        self,
-        port: str,
-        freqs_hz: np.ndarray,
-        grid: simcache.ChirpGrid | None = None,
+    def _port_amplitude(
+        self, path: str, port: str, grid: simcache.ChirpGrid
     ) -> np.ndarray:
-        """Field gain of the node's reflection across frequencies.
+        """Field gain of one port's ``"backscatter"`` or ``"downlink"``
+        path across ``grid``'s instantaneous frequencies.
 
-        Frequency-resolved version of
-        :meth:`LinkBudget.backscatter_gain_db` (the FSA gain sweeps with
-        the chirp, everything else is flat across the band). With a
-        ``grid``, the flat budget scalar and FSA sweep come from the
-        scene-invariant caches and the full array is memoized for this
+        The flat budget at the grid's mean frequency
+        (:func:`repro.sim.linkbudget.port_gains_db`) plus the FSA gain's
+        sweep about it and this run's ripple — each counted twice on the
+        backscatter round trip, once on the downlink. Memoized for this
         instance.
         """
-        if grid is not None:
-            cached = self._amplitude_memo.get(("backscatter", port, grid.key))
-            if cached is not None:
-                return cached
-            flat_db = simcache.backscatter_gain_db(self.budget, port, grid.mean_hz)
-            fsa_flat = float(
-                self.node.fsa.gain_dbi(
-                    port, self.budget.node_orientation_deg(), grid.mean_hz
-                )
-            )
-            fsa_sweep = simcache.fsa_gain_sweep(
-                self.node.fsa, port, self.budget.node_orientation_deg(), grid
-            )
-            ripple = self._gain_ripple_db(port, grid.f_inst, grid_key=grid.key)
-            gain_db = flat_db + 2.0 * (fsa_sweep - fsa_flat) + 2.0 * ripple
-            amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
-            self._amplitude_memo[("backscatter", port, grid.key)] = amplitude
-            return amplitude
-        flat_db = self.budget.backscatter_gain_db(port, float(np.mean(freqs_hz)))
-        fsa_flat = float(
-            self.node.fsa.gain_dbi(
-                port, self.budget.node_orientation_deg(), float(np.mean(freqs_hz))
-            )
-        )
-        fsa_sweep = np.asarray(
-            self.node.fsa.gain_dbi(port, self.budget.node_orientation_deg(), freqs_hz),
-            dtype=float,
-        )
-        gain_db = flat_db + 2.0 * (fsa_sweep - fsa_flat)
-        gain_db = gain_db + 2.0 * self._gain_ripple_db(port, freqs_hz)
-        return np.power(10.0, gain_db / 20.0)
-
-    def _downlink_amplitude(
-        self,
-        port: str,
-        freqs_hz: np.ndarray,
-        grid: simcache.ChirpGrid | None = None,
-    ) -> np.ndarray:
-        """Field gain into one FSA port's detector across frequencies."""
-        if grid is not None:
-            cached = self._amplitude_memo.get(("downlink", port, grid.key))
-            if cached is not None:
-                return cached
-            flat_db = simcache.downlink_port_gain_db(self.budget, port, grid.mean_hz)
-            fsa_flat = float(
-                self.node.fsa.gain_dbi(
-                    port, self.budget.node_orientation_deg(), grid.mean_hz
-                )
-            )
-            fsa_sweep = simcache.fsa_gain_sweep(
-                self.node.fsa, port, self.budget.node_orientation_deg(), grid
-            )
-            ripple = self._gain_ripple_db(port, grid.f_inst, grid_key=grid.key)
-            gain_db = flat_db + (fsa_sweep - fsa_flat) + ripple
-            amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
-            self._amplitude_memo[("downlink", port, grid.key)] = amplitude
-            return amplitude
-        flat_db = self.budget.downlink_port_gain_db(port, float(np.mean(freqs_hz)))
-        fsa_flat = float(
-            self.node.fsa.gain_dbi(
-                port, self.budget.node_orientation_deg(), float(np.mean(freqs_hz))
-            )
-        )
-        fsa_sweep = np.asarray(
-            self.node.fsa.gain_dbi(port, self.budget.node_orientation_deg(), freqs_hz),
-            dtype=float,
-        )
-        gain_db = flat_db + (fsa_sweep - fsa_flat)
-        gain_db = gain_db + self._gain_ripple_db(port, freqs_hz)
-        return np.power(10.0, gain_db / 20.0)
+        key = (path, port, grid.key)
+        cached = self._amplitude_memo.get(key)
+        if cached is not None:
+            return cached
+        k = 2.0 if path == "backscatter" else 1.0
+        orientation = self.budget.node_orientation_deg()
+        flat_db = simcache.port_gain_db(self.budget, path, port, grid.mean_hz)
+        fsa_flat = float(self.node.fsa.gain_dbi(port, orientation, grid.mean_hz))
+        fsa_sweep = simcache.fsa_gain_sweep(self.node.fsa, port, orientation, grid)
+        ripple = self._gain_ripple_db(port, grid)
+        gain_db = flat_db + k * (fsa_sweep - fsa_flat) + k * ripple
+        amplitude = simcache.frozen_array(np.power(10.0, gain_db / 20.0))
+        self._amplitude_memo[key] = amplitude
+        return amplitude
 
     # --- FMCW beat-record synthesis -------------------------------------------------
 
@@ -429,7 +356,7 @@ class MilBackSimulator:
         node_tone = np.exp(1j * (2.0 * math.pi * node_beat * t + node_phase0))
         node_shape = np.zeros(n, dtype=np.complex128)
         for port in ports[toggled_port]:
-            node_shape += self._backscatter_amplitude(port, grid.f_inst, grid=grid) * node_tone
+            node_shape += self._port_amplitude("backscatter", port, grid) * node_tone
         node_shape *= sqrt_ptx * steer_factor
 
         # Mirror-image reflection of the FSA ground plane (Fig. 13b
@@ -528,7 +455,7 @@ class MilBackSimulator:
         alpha = 1.0 - math.exp(
             -2.0 * math.pi * cal.cancellation_residual_bandwidth_hz / fs
         )
-        smooth = lfilter([alpha], [1.0, -(1.0 - alpha)], white)
+        smooth = single_pole_recursion(white, alpha)
         rms = float(np.sqrt(np.mean(np.abs(smooth) ** 2)))
         if rms <= 0:
             return np.zeros(n, dtype=np.complex128)
@@ -584,12 +511,18 @@ class MilBackSimulator:
         records_rx1, records_rx2 = self._beat_records(toggled_port="both")
         estimate = self.ap.fmcw.estimate_range(records_rx1)
         aoa = self.ap.aoa.estimate(records_rx1, records_rx2, estimate.beat_frequency_hz)
-        # The processor divides by the *assumed* slope; a generator slope
-        # off by ε yields a distance off by ε·d. Likewise the AoA carries
-        # the run's baseline-calibration bias.
-        distance = estimate.distance_m * (1.0 + self._slope_error)
+        return self._localization_fix(estimate, aoa)
+
+    def _localization_fix(self, estimate, aoa) -> LocalizationResult:
+        """A range estimate and an AoA estimate as one measurement, with
+        this run's instrument systematics applied.
+
+        The processor divides by the *assumed* slope; a generator slope
+        off by ε yields a distance off by ε·d. Likewise the AoA carries
+        the run's baseline-calibration bias.
+        """
         return LocalizationResult(
-            distance_est_m=distance,
+            distance_est_m=estimate.distance_m * (1.0 + self._slope_error),
             distance_true_m=self.budget.node_distance_m(),
             angle_est_deg=aoa.angle_deg + self._aoa_bias_deg,
             angle_true_deg=self.budget.node_azimuth_deg(),
@@ -618,9 +551,9 @@ class MilBackSimulator:
         chirp = self.ap.config.ranging_chirp
         port_power_dbm = (
             self.budget.tx_power_dbm
-            + simcache.backscatter_gain_db(self.budget, FsaPort.A, chirp.center_hz),
+            + simcache.port_gain_db(self.budget, "backscatter", FsaPort.A, chirp.center_hz),
             self.budget.tx_power_dbm
-            + simcache.backscatter_gain_db(self.budget, FsaPort.B, chirp.center_hz),
+            + simcache.port_gain_db(self.budget, "backscatter", FsaPort.B, chirp.center_hz),
         )
         envelope_mean_v = tuple(
             float(np.mean(np.abs(samples[:, m, :]))) for m in range(samples.shape[1])
@@ -629,13 +562,7 @@ class MilBackSimulator:
         try:
             estimate = self.ap.fmcw.estimate_range(records[0])
             aoa = self.ap.aoa.estimate(records[0], records[1], estimate.beat_frequency_hz)
-            localization = LocalizationResult(
-                distance_est_m=estimate.distance_m * (1.0 + self._slope_error),
-                distance_true_m=self.budget.node_distance_m(),
-                angle_est_deg=aoa.angle_deg + self._aoa_bias_deg,
-                angle_true_deg=self.budget.node_azimuth_deg(),
-                beat_frequency_hz=estimate.beat_frequency_hz,
-            )
+            localization = self._localization_fix(estimate, aoa)
         except LocalizationError:
             obs.counter("engine.observe.failed").inc()
             localization = None
@@ -700,14 +627,7 @@ class MilBackSimulator:
             self.ap.config.ranging_chirp.center_hz,
         )
         aoa = estimator.estimate(records, estimate.beat_frequency_hz, method)
-        distance = estimate.distance_m * (1.0 + self._slope_error)
-        return LocalizationResult(
-            distance_est_m=distance,
-            distance_true_m=self.budget.node_distance_m(),
-            angle_est_deg=aoa.angle_deg + self._aoa_bias_deg,
-            angle_true_deg=self.budget.node_azimuth_deg(),
-            beat_frequency_hz=estimate.beat_frequency_hz,
-        )
+        return self._localization_fix(estimate, aoa)
 
     # --- AP-side orientation (paper §5.2a, Fig. 13b) -----------------------------------
 
@@ -751,7 +671,7 @@ class MilBackSimulator:
             (FsaPort.A, self.node.config.detector_a),
             (FsaPort.B, self.node.config.detector_b),
         ):
-            amplitude = sqrt_ptx * self._downlink_amplitude(port, grid.f_inst, grid=grid)
+            amplitude = sqrt_ptx * self._port_amplitude("downlink", port, grid)
             rf = Signal(amplitude.astype(np.complex128), sim_rate_hz, 0.0, 0.0)
             video = detector.detect(rf, rng=self.rng)
             adc_streams[port] = self.node.config.mcu.sample_detector(video)
@@ -795,7 +715,7 @@ class MilBackSimulator:
             (FsaPort.A, self.node.config.detector_a),
             (FsaPort.B, self.node.config.detector_b),
         ):
-            amp_one = sqrt_ptx * self._downlink_amplitude(port, grid.f_inst, grid=grid)
+            amp_one = sqrt_ptx * self._port_amplitude("downlink", port, grid)
             pieces = [amp_one if on else np.zeros(n_slot) for on in active]
             amplitude = np.concatenate(pieces)
             rf = Signal(amplitude.astype(np.complex128), sim_rate_hz, 0.0, 0.0)
@@ -849,7 +769,7 @@ class MilBackSimulator:
 
         amp = {
             (port, f): sqrt_tone_power
-            * 10.0 ** (simcache.downlink_port_gain_db(self.budget, port, f) / 20.0)
+            * 10.0 ** (simcache.port_gain_db(self.budget, "downlink", port, f) / 20.0)
             for port in (FsaPort.A, FsaPort.B)
             for f in (pair.freq_a_hz, pair.freq_b_hz)
         }
@@ -931,7 +851,7 @@ class MilBackSimulator:
         sqrt_tone_power = math.sqrt(self.budget.tx_power_w() / 2.0)
         amp = {
             (port, f): sqrt_tone_power
-            * 10.0 ** (simcache.downlink_port_gain_db(self.budget, port, f) / 20.0)
+            * 10.0 ** (simcache.port_gain_db(self.budget, "downlink", port, f) / 20.0)
             for port in (FsaPort.A, FsaPort.B)
             for f in (pair.freq_a_hz, pair.freq_b_hz)
         }
@@ -985,7 +905,7 @@ class MilBackSimulator:
         gate = np.repeat(bits.astype(float), samples_per_symbol)
         sqrt_ptx = math.sqrt(self.budget.tx_power_w())
         amp_a = sqrt_ptx * 10.0 ** (
-            simcache.downlink_port_gain_db(self.budget, FsaPort.A, carrier_hz) / 20.0
+            simcache.port_gain_db(self.budget, "downlink", FsaPort.A, carrier_hz) / 20.0
         )
         rf = Signal((gate * amp_a).astype(np.complex128), sim_rate, 0.0, 0.0)
         video = self.node.config.detector_a.detect(rf, rng=self.rng)
@@ -1054,7 +974,7 @@ class MilBackSimulator:
             (FsaPort.B, gates.gate_b, pair.freq_b_hz),
         ):
             amp = sqrt_tone_power * 10.0 ** (
-                simcache.backscatter_gain_db(self.budget, port, freq) / 20.0
+                simcache.port_gain_db(self.budget, "backscatter", port, freq) / 20.0
             )
             phase = self.rng.uniform(0.0, 2.0 * math.pi)
             # Per-symbol multiplicative noise (correlated within a symbol).

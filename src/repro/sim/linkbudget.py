@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.antennas.dual_port_fsa import DualPortFsa
 from repro.antennas.fixed import HornAntenna
@@ -25,7 +26,16 @@ from repro.hardware.switch import SpdtSwitch
 from repro.sim.calibration import Calibration, default_calibration
 from repro.utils.units import dbm_to_watts
 
-__all__ = ["PathGain", "LinkBudget"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ap.access_point import AccessPoint
+    from repro.node.node import BackscatterNode
+
+__all__ = [
+    "PathGain",
+    "PortGains",  # milback: disable=ML014 — port_gains_db's return type
+    "port_gains_db",
+    "LinkBudget",
+]
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,79 @@ class PathGain:
     def amplitude(self) -> float:
         """Field (amplitude) gain."""
         return 10.0 ** (self.gain_db / 20.0)
+
+
+class PortGains(NamedTuple):
+    """One FSA port's two power gains [dB] at one geometry and tone
+    (arrays when :func:`port_gains_db` broadcasts)."""
+
+    backscatter_db: float
+    downlink_db: float
+
+
+def port_gains_db(
+    port: str,
+    distance_m,
+    orientation_deg,
+    frequency_hz,
+    *,
+    fsa: DualPortFsa,
+    tx_horn: HornAntenna,
+    rx_horn: HornAntenna,
+    switch: SpdtSwitch,
+    calibration: Calibration,
+    atmosphere: AtmosphereModel | None = None,
+    include_modulation_loss: bool = True,
+) -> PortGains:
+    """Backscatter and downlink power gains of one FSA port, with the AP's
+    horns steered at the node.
+
+    The one place the link budget is composed; the waveform engine, the
+    SDM drivers and netsim's fleet links all read it. FSPL and the FSA
+    gain are evaluated once and shared by both budgets:
+
+    * **downlink** (AP TX output → the port's detector branch): horn +
+      FSA gain − FSPL − switch through loss − atmosphere − implementation
+      loss;
+    * **backscatter** (AP TX output → node → AP RX antenna output,
+      before the LNA): the FSA gain, FSPL and atmosphere count twice
+      (capture + re-radiation), and the shorted port's reflect-state
+      loss is two passes through the switch.
+
+    Broadcasts over array ``distance_m``/``orientation_deg``/
+    ``frequency_hz`` (the atmosphere model takes scalars only).
+    """
+    fspl = free_space_path_loss_db(distance_m, frequency_hz)
+    fsa_gain = fsa.gain_dbi(port, orientation_deg, frequency_hz)
+    atmo_db = (
+        atmosphere.one_way_loss_db(distance_m, frequency_hz)
+        if atmosphere is not None
+        else 0.0
+    )
+    reflect_db = 2.0 * switch.insertion_loss_db
+    through_db = -20.0 * math.log10(switch.through_amplitude())
+    modulation_db = (
+        calibration.backscatter_modulation_loss_db if include_modulation_loss else 0.0
+    )
+    backscatter_db = (
+        tx_horn.peak_gain_dbi
+        + 2.0 * fsa_gain
+        + rx_horn.peak_gain_dbi
+        - 2.0 * fspl
+        - reflect_db
+        - modulation_db
+        - 2.0 * atmo_db
+        - calibration.uplink_implementation_loss_db
+    )
+    downlink_db = (
+        tx_horn.peak_gain_dbi
+        + fsa_gain
+        - fspl
+        - through_db
+        - atmo_db
+        - calibration.downlink_implementation_loss_db
+    )
+    return PortGains(backscatter_db, downlink_db)
 
 
 @dataclass
@@ -64,6 +147,30 @@ class LinkBudget:
     #: Weather condition; None means indoor (no atmospheric loss).
     atmosphere: AtmosphereModel | None = None
 
+    @classmethod
+    def for_endpoints(
+        cls,
+        scene: Scene2D,
+        node: "BackscatterNode",
+        ap: "AccessPoint",
+        calibration: Calibration,
+        node_id: str | None = None,
+        atmosphere: AtmosphereModel | None = None,
+    ) -> "LinkBudget":
+        """The budget between ``ap``'s horns and ``node``'s FSA and
+        port-A switch, at the AP's TX power."""
+        return cls(
+            scene=scene,
+            fsa=node.fsa,
+            tx_horn=ap.config.tx_horn,
+            rx_horn=ap.config.rx_horn,
+            switch=node.config.switch_a,
+            calibration=calibration,
+            tx_power_dbm=ap.config.tx_power_dbm,
+            node_id=node_id,
+            atmosphere=atmosphere,
+        )
+
     # --- geometry shortcuts ---------------------------------------------------
 
     def node_distance_m(self) -> float:
@@ -82,33 +189,29 @@ class LinkBudget:
         """AP transmit power [W]."""
         return float(dbm_to_watts(self.tx_power_dbm))
 
+    def _port_gains_db(
+        self, port: str, frequency_hz: float, include_modulation_loss: bool = True
+    ) -> PortGains:
+        return port_gains_db(
+            port,
+            self.node_distance_m(),
+            self.node_orientation_deg(),
+            frequency_hz,
+            fsa=self.fsa,
+            tx_horn=self.tx_horn,
+            rx_horn=self.rx_horn,
+            switch=self.switch,
+            calibration=self.calibration,
+            atmosphere=self.atmosphere,
+            include_modulation_loss=include_modulation_loss,
+        )
+
     # --- downlink (AP → node port) ---------------------------------------------
 
     def downlink_port_gain_db(self, port: str, frequency_hz: float) -> float:
         """One-way power gain from the AP TX output into one FSA port's
-        detector branch, at ``frequency_hz``.
-
-        horn(steered at node) + FSA port gain at the node's orientation
-        − FSPL − switch insertion − implementation loss.
-        """
-        d = self.node_distance_m()
-        orientation = self.node_orientation_deg()
-        fspl = float(free_space_path_loss_db(d, frequency_hz))
-        fsa_gain = float(self.fsa.gain_dbi(port, orientation, frequency_hz))
-        switch_db = -20.0 * math.log10(self.switch.through_amplitude())
-        atmo_db = (
-            self.atmosphere.one_way_loss_db(d, frequency_hz)
-            if self.atmosphere is not None
-            else 0.0
-        )
-        return (
-            self.tx_horn.peak_gain_dbi
-            + fsa_gain
-            - fspl
-            - switch_db
-            - atmo_db
-            - self.calibration.downlink_implementation_loss_db
-        )
+        detector branch, at ``frequency_hz`` (see :func:`port_gains_db`)."""
+        return float(self._port_gains_db(port, frequency_hz).downlink_db)
 
     def downlink_path(self, port: str, frequency_hz: float) -> PathGain:
         """Downlink gain packaged with the propagation delay."""
@@ -129,38 +232,10 @@ class LinkBudget:
         include_modulation_loss: bool = True,
     ) -> float:
         """Two-way power gain of the node's reflected tone, from AP TX
-        output to AP RX antenna output (before the LNA).
-
-        The FSA gain enters twice (capture + re-radiation); the switch's
-        reflective insertion loss is inside
-        :meth:`SpdtSwitch.reflection_amplitude`.
-        """
-        d = self.node_distance_m()
-        orientation = self.node_orientation_deg()
-        fspl = float(free_space_path_loss_db(d, frequency_hz))
-        fsa_gain = float(self.fsa.gain_dbi(port, orientation, frequency_hz))
-        # Reflect-state loss: the shorted port reflects fully minus two
-        # passes through the switch.
-        reflect_db = 2.0 * self.switch.insertion_loss_db
-        modulation_db = (
-            self.calibration.backscatter_modulation_loss_db
-            if include_modulation_loss
-            else 0.0
-        )
-        atmo_db = (
-            2.0 * self.atmosphere.one_way_loss_db(d, frequency_hz)
-            if self.atmosphere is not None
-            else 0.0
-        )
-        return (
-            self.tx_horn.peak_gain_dbi
-            + 2.0 * fsa_gain
-            + self.rx_horn.peak_gain_dbi
-            - 2.0 * fspl
-            - reflect_db
-            - modulation_db
-            - atmo_db
-            - self.calibration.uplink_implementation_loss_db
+        output to AP RX antenna output (before the LNA); see
+        :func:`port_gains_db`."""
+        return float(
+            self._port_gains_db(port, frequency_hz, include_modulation_loss).backscatter_db
         )
 
     def backscatter_path(self, port: str, frequency_hz: float) -> PathGain:

@@ -49,9 +49,9 @@ class ConcurrentNodeResult:
         return self.ber == 0.0  # milback: disable=ML003
 
 
-class MultiNodeUplink:
-    """Simulates one concurrent uplink slot with N simultaneously served
-    nodes, each with its own beam and OAQFM tone pair."""
+class _ConcurrentSlot:
+    """One AP serving every node of ``scene`` through its own beam; the
+    per-node link budgets share the node and AP hardware."""
 
     def __init__(
         self,
@@ -69,18 +69,16 @@ class MultiNodeUplink:
         self.calibration = calibration or default_calibration()
         self.rng = make_rng(seed)
         self.budgets = {
-            placement.node_id: LinkBudget(
-                scene=scene,
-                fsa=self.node.fsa,
-                tx_horn=self.ap.config.tx_horn,
-                rx_horn=self.ap.config.rx_horn,
-                switch=self.node.config.switch_a,
-                calibration=self.calibration,
-                tx_power_dbm=self.ap.config.tx_power_dbm,
-                node_id=placement.node_id,
+            placement.node_id: LinkBudget.for_endpoints(
+                scene, self.node, self.ap, self.calibration, placement.node_id
             )
             for placement in scene.nodes
         }
+
+
+class MultiNodeUplink(_ConcurrentSlot):
+    """Simulates one concurrent uplink slot with N simultaneously served
+    nodes, each with its own beam and OAQFM tone pair."""
 
     def spatial_isolation_db(self, served_id: str, interferer_id: str) -> float:
         """Two-way beam roll-off of the interferer inside the served
@@ -258,7 +256,7 @@ class MultiNodeUplink:
         )
 
 
-class MultiNodeDownlink:
+class MultiNodeDownlink(_ConcurrentSlot):
     """Concurrent SDM downlink: one beam per node, each carrying its own
     OAQFM tone pair.
 
@@ -270,35 +268,6 @@ class MultiNodeDownlink:
     lumped interferers enter the detector envelope as a power-summed
     second component (exact for one interferer, RMS-approximate beyond).
     """
-
-    def __init__(
-        self,
-        scene: Scene2D,
-        node: BackscatterNode | None = None,
-        ap: AccessPoint | None = None,
-        calibration: Calibration | None = None,
-        seed: RngLike = None,
-    ) -> None:
-        if len(scene.nodes) < 1:
-            raise ConfigurationError("scene has no nodes")
-        self.scene = scene
-        self.node = node or BackscatterNode()
-        self.ap = ap or AccessPoint(node_fsa=self.node.fsa)
-        self.calibration = calibration or default_calibration()
-        self.rng = make_rng(seed)
-        self.budgets = {
-            placement.node_id: LinkBudget(
-                scene=scene,
-                fsa=self.node.fsa,
-                tx_horn=self.ap.config.tx_horn,
-                rx_horn=self.ap.config.rx_horn,
-                switch=self.node.config.switch_a,
-                calibration=self.calibration,
-                tx_power_dbm=self.ap.config.tx_power_dbm,
-                node_id=placement.node_id,
-            )
-            for placement in scene.nodes
-        }
 
     def tx_beam_rolloff_db(self, beam_node_id: str, at_node_id: str) -> float:
         """TX beam (pointed at ``beam_node_id``) roll-off at another

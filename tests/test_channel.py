@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 
 from repro.channel.multipath import PathComponent, Reflector, default_indoor_clutter
 from repro.channel.propagation import (
-    backscatter_received_power_dbm,
     clutter_received_power_dbm,
     complex_path_gain,
     free_space_path_loss_db,
-    friis_received_power_dbm,
     propagation_delay_s,
     propagation_phase_rad,
 )
@@ -68,25 +66,6 @@ class TestDelaysAndPhases:
 
 
 class TestLinkBudgets:
-    def test_friis_budget(self):
-        # 27 dBm + 20 + 13 - FSPL(2 m) ~ -7.4 dBm: the node's downlink input.
-        power = friis_received_power_dbm(27.0, 20.0, 13.0, 2.0, 28e9)
-        assert power == pytest.approx(-7.4, abs=0.2)
-
-    def test_backscatter_counts_path_twice(self):
-        one_way = friis_received_power_dbm(27.0, 20.0, 13.0, 4.0, 28e9)
-        two_way = backscatter_received_power_dbm(
-            27.0, 20.0, 20.0, 13.0, 13.0, 4.0, 28e9
-        )
-        fspl = free_space_path_loss_db(4.0, 28e9)
-        # two_way = one_way + (20 + 13 - fspl).
-        assert two_way == pytest.approx(one_way + 20.0 + 13.0 - fspl, abs=1e-6)
-
-    def test_uplink_slope_is_40log(self):
-        p2 = backscatter_received_power_dbm(27.0, 20.0, 20.0, 13.0, 13.0, 2.0, 28e9)
-        p4 = backscatter_received_power_dbm(27.0, 20.0, 20.0, 13.0, 13.0, 4.0, 28e9)
-        assert p2 - p4 == pytest.approx(12.04, abs=0.05)
-
     def test_clutter_radar_equation_slope(self):
         p3 = clutter_received_power_dbm(27.0, 20.0, 20.0, 3.0, 28e9, 0.0)
         p6 = clutter_received_power_dbm(27.0, 20.0, 20.0, 6.0, 28e9, 0.0)

@@ -1,5 +1,10 @@
 """Digital filter tests (repro.dsp.filters)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from repro.dsp.filters import (
     lowpass,
     moving_average,
     single_pole_lowpass,
+    single_pole_recursion,
 )
 from repro.dsp.signal import Signal
 from repro.errors import ConfigurationError, SignalError
@@ -130,3 +136,25 @@ class TestSinglePole:
         s = tone_signal(4e5, fs=1e7, n=5000)
         out = single_pole_lowpass(s, 1e4)
         assert measure_gain(out, s) < 0.05
+
+    def test_recursion_matches_its_definition(self, rng):
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        alpha = 0.3
+        expected, state = [], 0.0
+        for sample in x:
+            state = state + alpha * (sample - state)
+            expected.append(state)
+        np.testing.assert_allclose(single_pole_recursion(x, alpha), expected, rtol=1e-12)
+
+    def test_import_repro_leaves_scipy_signal_unloaded(self):
+        # scipy.signal costs ~1 s of cold start; the filters import it on use.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, repro; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"

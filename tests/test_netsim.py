@@ -277,13 +277,31 @@ class TestBudgetFidelity:
                     )
         assert clamped == 4 * len(self.DISTANCES_M)
         expected = np.array(expected)
-        # One broadcast over the whole grid, and every point on its own.
+        # One broadcast over the whole grid (the FSA sum is reordered, so
+        # within the batch tolerance), and every point on its own (the
+        # same port_gains_db code as LinkBudget, so exactly).
         got = np.stack(model._budget(*np.array(grid).T), axis=1)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=BATCH_TOLERANCE)
         for point, row in zip(grid, expected):
-            np.testing.assert_allclose(
-                [float(v) for v in model._budget(*point)], row, rtol=0.0, atol=BATCH_TOLERANCE
-            )
+            assert [float(v) for v in model._budget(*point)] == list(row)
+
+    def test_one_fsa_evaluation_per_pair(self, monkeypatch):
+        model = FleetLinkModel()
+        calls = []
+        gain_dbi = type(model._fsa).gain_dbi
+
+        def counting(fsa, port, angle_deg, frequency_hz):
+            calls.append(np.shape(angle_deg))
+            return gain_dbi(fsa, port, angle_deg, frequency_hz)
+
+        monkeypatch.setattr(type(model._fsa), "gain_dbi", counting)
+        aps = [Pose2D.at(0.0, 0.0, 0.0), Pose2D.at(6.0, 0.0, 180.0)]
+        nodes = [Pose2D.at(3.0, y, 180.0) for y in (-1.0, 0.0, 1.0)]
+        model.observe_many(aps, nodes)
+        assert calls == [(2, 3)]
+        calls.clear()
+        model.observe(aps[0], nodes[0])
+        assert calls == [()]
 
 
 def _single_ap_fixture(n_nodes=5, seed=0, name="five-node-crosscheck"):
